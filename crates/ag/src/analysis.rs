@@ -25,7 +25,7 @@ use crate::subsumption::{GroupMode, Subsumption, SubsumptionCosts};
 use std::fmt;
 
 /// Configuration for the whole pipeline.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 pub struct Config {
     /// Pass-analysis settings (first direction, pass budget).
     pub pass: PassConfig,
@@ -40,11 +40,24 @@ pub struct Config {
     /// timing/size comparison).
     pub disable_subsumption: bool,
     /// Run the grammar optimizer (constant folding, copy-chain
-    /// collapsing, dead-attribute elimination) before scheduling. Off
-    /// by default at the library level — the paper's figures are
-    /// reproduced on the unoptimized grammar — and switched on by the
-    /// CLI's `--opt` (whose default is on).
+    /// collapsing, dead-attribute elimination) before scheduling. On by
+    /// default, in the library and the CLI alike; `optimize: false`
+    /// (the CLI's `--opt=off`) is the paper-faithful configuration the
+    /// paper's figures are reproduced on.
     pub optimize: bool,
+}
+
+impl Default for Config {
+    fn default() -> Config {
+        Config {
+            pass: PassConfig::default(),
+            skip_implicit: false,
+            group_mode: GroupMode::default(),
+            costs: SubsumptionCosts::default(),
+            disable_subsumption: false,
+            optimize: true,
+        }
+    }
 }
 
 /// Everything known about an analyzed grammar.

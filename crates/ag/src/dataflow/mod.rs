@@ -11,10 +11,7 @@
 //!    shrinking the AG004 residue the paper's subsumption misses;
 //! 3. **dead-attribute/dead-rule elimination** ([`liveness`]) —
 //!    attributes whose values cannot reach any output lose their rules
-//!    and their storage slots (the teeth behind AG001);
-//! 4. **change-impact closures** ([`impact`]) — a pure per-production
-//!    analysis serialized with the compiled grammar as the substrate
-//!    for incremental re-translation.
+//!    and their storage slots (the teeth behind AG001).
 //!
 //! Running before scheduling is the point: folded reads and deleted
 //! rules remove dependency edges, so the alternating-pass assignment,
@@ -29,13 +26,11 @@
 pub mod constprop;
 pub mod copychain;
 pub mod graph;
-pub mod impact;
 pub mod liveness;
 
 pub use constprop::{Abs, ConstProp, ConstVal};
 pub use copychain::collapse_copy_chains;
 pub use graph::{solve, AttrDepGraph, Direction, Lattice, Transfer};
-pub use impact::{impact_closures, ImpactClosure};
 pub use liveness::{Live, Liveness};
 
 use crate::grammar::Grammar;
@@ -85,8 +80,6 @@ pub struct OptReport {
     /// pre-elimination rule count). Side tables indexed by `RuleId`
     /// must be remapped through this.
     pub rule_remap: Vec<Option<RuleId>>,
-    /// Per-production change-impact closures, indexed by `ProdId`.
-    pub impact: Vec<ImpactClosure>,
 }
 
 impl OptReport {
@@ -99,8 +92,7 @@ impl OptReport {
     }
 }
 
-/// Run all transforms on `g`, in order, and compute the impact
-/// closures of the optimized grammar.
+/// Run all transforms on `g`, in order.
 ///
 /// The caller is responsible for having checked completeness and
 /// non-circularity first; every transform preserves both (transforms
@@ -174,10 +166,6 @@ pub fn optimize(g: &mut Grammar) -> OptReport {
         });
     }
     report.rule_remap = elim.rule_remap;
-
-    // 4. Impact closures over the final grammar.
-    let graph = AttrDepGraph::build(g);
-    report.impact = impact_closures(g, &graph);
     report
 }
 
@@ -236,8 +224,6 @@ mod tests {
         assert_eq!(root_rule.expr, Expr::Int(5));
         // The whole constant chain became dead and was removed.
         assert_eq!(g.rules().len(), 1);
-        // Impact closures exist for every production.
-        assert_eq!(report.impact.len(), g.productions().len());
     }
 
     #[test]

@@ -30,9 +30,9 @@
 //!   residual copy-rules, the dependencies that force each pass, …);
 //! * the **grammar optimizer** ([`dataflow`]) — a monotone dataflow
 //!   framework over the attribute dependency graph, with constant
-//!   folding, copy-chain collapsing, dead-attribute elimination, and
-//!   per-production change-impact closures, run before scheduling
-//!   when [`analysis::Config::optimize`] is set.
+//!   folding, copy-chain collapsing and dead-attribute elimination,
+//!   run before scheduling when [`analysis::Config::optimize`] is set
+//!   (the default).
 //!
 //! # Example
 //!

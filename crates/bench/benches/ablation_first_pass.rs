@@ -9,7 +9,7 @@
 
 use linguist_ag::analysis::Config;
 use linguist_ag::passes::{Direction, PassConfig};
-use linguist_bench::{analyze, median_time, rule, us};
+use linguist_bench::{analyze, faithful, median_time, rule, us};
 use linguist_eval::funcs::Funcs;
 use linguist_eval::machine::{EvalOptions, Strategy};
 use linguist_frontend::driver::DriverOptions;
@@ -26,7 +26,7 @@ fn options(first: Direction) -> DriverOptions {
                 first_direction: first,
                 max_passes: 16,
             },
-            ..Config::default()
+            ..faithful().config
         },
         ..DriverOptions::default()
     }

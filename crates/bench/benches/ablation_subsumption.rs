@@ -9,7 +9,7 @@
 
 use linguist_ag::analysis::{Analysis, Config};
 use linguist_ag::subsumption::{GroupMode, Subsumption, SubsumptionCosts};
-use linguist_bench::rule;
+use linguist_bench::{faithful, rule};
 use linguist_codegen::{generate, Target};
 use linguist_grammars::synth::{generate as synth, SynthParams};
 
@@ -32,7 +32,7 @@ fn main() {
             copy_density: density,
             ..SynthParams::default()
         });
-        let analysis = Analysis::run(sg.grammar.clone(), &Config::default()).unwrap();
+        let analysis = Analysis::run(sg.grammar.clone(), &faithful().config).unwrap();
         let stats = analysis.stats();
         let sub = analysis.subsumption.stats(&analysis.grammar);
         println!(
@@ -65,7 +65,7 @@ fn main() {
             sg.grammar.clone(),
             &Config {
                 costs,
-                ..Config::default()
+                ..faithful().config
             },
         )
         .unwrap();
@@ -86,12 +86,12 @@ fn main() {
             copy_density: density,
             ..SynthParams::default()
         });
-        let same = Analysis::run(sg.grammar.clone(), &Config::default()).unwrap();
+        let same = Analysis::run(sg.grammar.clone(), &faithful().config).unwrap();
         let coal = Analysis::run(
             sg.grammar.clone(),
             &Config {
                 group_mode: GroupMode::CoalesceCopies,
-                ..Config::default()
+                ..faithful().config
             },
         )
         .unwrap();

@@ -10,16 +10,15 @@
 //! workload sizes — the virtual-memory hypothetical with everything else
 //! held fixed.
 
-use linguist_bench::{analyze, median_time, rule, us};
+use linguist_bench::{analyze, faithful, median_time, rule, us};
 use linguist_eval::funcs::Funcs;
 use linguist_eval::machine::{Backing, EvalOptions};
-use linguist_frontend::driver::DriverOptions;
 use linguist_frontend::Translator;
 use linguist_grammars::{pascal_program, pascal_scanner, pascal_source};
 
 fn main() {
     rule("E15: disk files vs memory backing (the paper's virtual-memory question)");
-    let out = analyze(pascal_source(), &DriverOptions::default());
+    let out = analyze(pascal_source(), &faithful());
     let translator = Translator::new(out.analysis, pascal_scanner()).expect("translator");
     let funcs = Funcs::standard();
     let disk = EvalOptions {

@@ -2,7 +2,7 @@
 //!
 //! For each bundled grammar, run the same serve-shaped evaluation twice
 //! — once on the paper-faithful analysis (`--opt=off`) and once through
-//! the grammar optimizer (`--opt=on`, the CLI default) — and record
+//! the grammar optimizer (`--opt=on`, the default) — and record
 //! what the optimizer actually buys:
 //!
 //! * pass count (must never increase; the transforms only remove

@@ -1,4 +1,4 @@
-//! Batch-evaluation throughput: 1 worker vs N, owned vs shared store.
+//! Batch-evaluation throughput: 1 worker vs N on the owned store.
 //!
 //! Not a paper table — the original ran on a single-CPU minicomputer —
 //! but the natural successor experiment: with the evaluation runtime
@@ -7,11 +7,7 @@
 //! measurement, so this is pure evaluator scaling.
 //!
 //! The snapshot records `cores` so a single-core CI box's flat sweep is
-//! not misread as a regression, and a legacy
-//! [`Backing::SharedMemory`] ablation row so the mutex traffic the
-//! shared-nothing store removed stays visible: the owned path must
-//! report exactly zero store lock acquisitions, the legacy path counts
-//! several per record.
+//! not misread as a regression.
 
 use linguist_bench::{rule, write_snapshot};
 use linguist_eval::batch::BatchEvaluator;
@@ -79,10 +75,6 @@ fn main() {
                     &trees,
                 );
                 assert_eq!(outcome.stats.failed, 0);
-                assert_eq!(
-                    outcome.stats.lock_acquisitions, 0,
-                    "owned-store batch took store locks"
-                );
                 outcome.stats
             })
             .max_by(|a, b| a.jobs_per_sec().total_cmp(&b.jobs_per_sec()))
@@ -110,43 +102,6 @@ fn main() {
         ));
     }
 
-    // Ablation: the same 200 jobs on the legacy mutex-guarded store.
-    // Its per-record lock traffic is the contention the owned store
-    // removed; the counter makes the difference exact rather than
-    // inferred from wall clock (which a single-core box can't show).
-    let shared_opts = EvalOptions {
-        backing: Backing::SharedMemory,
-        ..EvalOptions::default()
-    };
-    let shared = (0..3)
-        .map(|_| {
-            let outcome = BatchEvaluator::with_options(1, shared_opts.clone()).run(
-                &tr.analysis,
-                &funcs,
-                &trees,
-            );
-            assert_eq!(outcome.stats.failed, 0);
-            outcome.stats
-        })
-        .max_by(|a, b| a.jobs_per_sec().total_cmp(&b.jobs_per_sec()))
-        .expect("three runs");
-    assert!(
-        shared.lock_acquisitions > 0,
-        "legacy shared store reported no lock traffic"
-    );
-    println!(
-        "\nlegacy shared store: {} lock acquisitions across {} jobs ({} per job); owned store: 0",
-        shared.lock_acquisitions,
-        trees.len(),
-        shared.lock_acquisitions / trees.len() as u64
-    );
-    println!(
-        "legacy shared store at 1 worker: {:.1} jobs/sec vs {:.1} owned ({:.2}x owned/legacy)",
-        shared.jobs_per_sec(),
-        baseline,
-        baseline / shared.jobs_per_sec()
-    );
-
     // One profiled pass over the same batch gives the snapshot an I/O
     // dimension: per-pass record/byte traffic aggregated across jobs.
     let profiled_opts = EvalOptions {
@@ -160,10 +115,6 @@ fn main() {
         .metrics
         .as_ref()
         .expect("profiled batch collects metrics");
-    assert_eq!(
-        metrics.lock_acquisitions, 0,
-        "owned-store metrics recorded store locks"
-    );
     println!(
         "\nprofiled: {} initial records, {} total file bytes across {} jobs",
         metrics.initial_records,
@@ -175,12 +126,10 @@ fn main() {
     write_snapshot(
         "table_batch_throughput",
         &format!(
-            "{{\"bench\":\"table_batch_throughput\",\"jobs\":{},\"nodes_per_job\":{},\"cores\":{},\"backing\":\"memory_owned\",\"lock_acquisitions\":0,\"shared_store_lock_acquisitions\":{},\"shared_store_jobs_per_sec\":{:.1},\"owned_store_jobs_per_sec\":{:.1},\"sweep\":[{}],\"profile\":{}}}",
+            "{{\"bench\":\"table_batch_throughput\",\"jobs\":{},\"nodes_per_job\":{},\"cores\":{},\"backing\":\"memory_owned\",\"owned_store_jobs_per_sec\":{:.1},\"sweep\":[{}],\"profile\":{}}}",
             trees.len(),
             trees[0].size(),
             cores,
-            shared.lock_acquisitions,
-            shared.jobs_per_sec(),
             baseline,
             sweep_rows.join(","),
             metrics_json(metrics)

@@ -5,8 +5,7 @@
 //! functions, 302 copy-rules (a little more than 50%), 276 implicit,
 //! evaluable in 4 alternating passes.
 
-use linguist_bench::{analyze, rule};
-use linguist_frontend::driver::DriverOptions;
+use linguist_bench::{analyze, faithful, rule};
 use linguist_grammars::{block_source, calc_source, meta_source, pascal_source};
 
 fn main() {
@@ -25,7 +24,7 @@ fn main() {
         ("block", block_source()),
         ("calc", calc_source()),
     ] {
-        let out = analyze(src, &DriverOptions::default());
+        let out = analyze(src, &faithful());
         let s = out.stats;
         println!(
             "{:<10} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9} {:>6}",
@@ -40,7 +39,7 @@ fn main() {
             s.passes
         );
     }
-    let meta = analyze(meta_source(), &DriverOptions::default());
+    let meta = analyze(meta_source(), &faithful());
     println!(
         "\nmeta copy fraction: {:.0}% (paper: 'a little more than 50%'); implicit share of copies: {:.0}% (paper: 276/302 = 91%)",
         100.0 * meta.stats.copy_fraction(),

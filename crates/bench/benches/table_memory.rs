@@ -11,10 +11,9 @@
 //!  2. realistic workloads whose APT files exceed the 48 KB window still
 //!     evaluate comfortably inside it.
 
-use linguist_bench::{analyze, rule};
+use linguist_bench::{analyze, faithful, rule};
 use linguist_eval::funcs::Funcs;
 use linguist_eval::machine::EvalOptions;
-use linguist_frontend::driver::DriverOptions;
 use linguist_frontend::Translator;
 use linguist_grammars::{pascal_program, pascal_scanner, pascal_source};
 use linguist_lexgen::ScannerDef;
@@ -59,7 +58,7 @@ fn chain_input(leaves: usize) -> String {
 
 fn main() {
     rule("E12a: peak residency tracks depth, not size (balanced vs chain)");
-    let out = analyze(BALANCED, &DriverOptions::default());
+    let out = analyze(BALANCED, &faithful());
     let scanner = ScannerDef::new()
         .skip(r"[ \t\n]+")
         .token("leaf", "[0-9]+")
@@ -116,7 +115,7 @@ fn main() {
     assert!((io3 as f64 / io0 as f64) > 8.0 * (p3 as f64 / p0 as f64));
 
     rule("E12b: a realistic workload beyond the 48 KB window (paper: >42K APT in 48K)");
-    let out = analyze(pascal_source(), &DriverOptions::default());
+    let out = analyze(pascal_source(), &faithful());
     let translator = Translator::new(out.analysis, pascal_scanner()).expect("translator");
     println!(
         "{:>8} {:>12} {:>12} {:>10} {:>8}",

@@ -9,10 +9,10 @@
 //! translator and show the per-pass byte traffic that makes the
 //! evaluation passes I/O-bound.
 
-use linguist_bench::{analyze, median_time, rule, us};
+use linguist_bench::{analyze, faithful, median_time, rule, us};
 use linguist_eval::funcs::Funcs;
 use linguist_eval::machine::EvalOptions;
-use linguist_frontend::driver::{DriverOptions, OverlayTimings};
+use linguist_frontend::driver::OverlayTimings;
 use linguist_frontend::Translator;
 use linguist_grammars::{meta_scanner, meta_source, pascal_source};
 use std::time::Duration;
@@ -25,7 +25,7 @@ fn main() {
     let mut best: Option<OverlayTimings> = None;
     let mut total = Duration::MAX;
     for _ in 0..5 {
-        let out = analyze(meta_source(), &DriverOptions::default());
+        let out = analyze(meta_source(), &faithful());
         if out.timings.total() < total {
             total = out.timings.total();
             best = Some(out.timings);
@@ -58,7 +58,7 @@ fn main() {
     // Evaluation passes are I/O bound: every pass moves the whole APT
     // through the intermediate files.
     rule("evaluation-pass byte traffic (the I/O-bound claim)");
-    let out = analyze(meta_source(), &DriverOptions::default());
+    let out = analyze(meta_source(), &faithful());
     let translator = Translator::new(out.analysis, meta_scanner()).expect("meta translator");
     let funcs = Funcs::standard();
     let r = translator

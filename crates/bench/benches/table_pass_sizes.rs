@@ -6,14 +6,13 @@
 //! share of each module and identical across passes; different passes
 //! carry visibly different semantic loads.
 
-use linguist_bench::{analyze, rule};
+use linguist_bench::{analyze, faithful, rule};
 use linguist_codegen::{generate, Target};
-use linguist_frontend::driver::DriverOptions;
 use linguist_grammars::meta_source;
 
 fn main() {
     rule("E9: per-pass evaluator module sizes (paper §V)");
-    let out = analyze(meta_source(), &DriverOptions::default());
+    let out = analyze(meta_source(), &faithful());
     let evaluator = generate(&out.analysis, Target::Pascal);
 
     println!("paper:    pass 1 - 4292 B   pass 2 - 6538 B   pass 3 - 5414 B   pass 4 - 7215 B   husk - 4065 B\n");

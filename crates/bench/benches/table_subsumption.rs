@@ -13,7 +13,7 @@
 //! unchanged.
 
 use linguist_ag::analysis::Config;
-use linguist_bench::{analyze, median_time, rule, us};
+use linguist_bench::{analyze, faithful, median_time, rule, us};
 use linguist_codegen::{generate, Target};
 use linguist_eval::funcs::Funcs;
 use linguist_eval::machine::EvalOptions;
@@ -22,13 +22,13 @@ use linguist_frontend::Translator;
 use linguist_grammars::{meta_scanner, meta_source, pascal_source};
 
 fn code_sizes(src: &str) -> (usize, usize, usize) {
-    let with = analyze(src, &DriverOptions::default());
+    let with = analyze(src, &faithful());
     let without = analyze(
         src,
         &DriverOptions {
             config: Config {
                 disable_subsumption: true,
-                ..Config::default()
+                ..faithful().config
             },
             ..DriverOptions::default()
         },
@@ -77,13 +77,13 @@ fn main() {
     // Run-time comparison: evaluation is I/O bound, so subsumption on/off
     // should not move the needle.
     rule("run time with vs without subsumption (paper: no noticeable difference)");
-    let with = analyze(meta_source(), &DriverOptions::default());
+    let with = analyze(meta_source(), &faithful());
     let without = analyze(
         meta_source(),
         &DriverOptions {
             config: Config {
                 disable_subsumption: true,
-                ..Config::default()
+                ..faithful().config
             },
             ..DriverOptions::default()
         },

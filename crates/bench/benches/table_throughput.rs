@@ -8,15 +8,14 @@
 //! the two grammar workloads and report absolute lines/min for the
 //! record.
 
-use linguist_bench::{analyze, rule};
-use linguist_frontend::driver::DriverOptions;
+use linguist_bench::{analyze, faithful, rule};
 use linguist_grammars::{block_source, calc_source, meta_source, pascal_source};
 
 fn lines_per_minute(src: &str, runs: usize) -> f64 {
     // Best-of-n to squeeze out noise; the metric excludes generation time
     // exactly as the paper does.
     (0..runs)
-        .map(|_| analyze(src, &DriverOptions::default()).lines_per_minute())
+        .map(|_| analyze(src, &faithful()).lines_per_minute())
         .fold(f64::MIN, f64::max)
 }
 

@@ -15,6 +15,15 @@ pub fn analyze(source: &str, opts: &DriverOptions) -> DriverOutput {
     run(source, opts).unwrap_or_else(|e| panic!("bench grammar failed: {}", e))
 }
 
+/// The paper-faithful driver options: the grammar optimizer off, so the
+/// paper's tables are regenerated on the grammar as the paper analyzed
+/// it.
+pub fn faithful() -> DriverOptions {
+    let mut opts = DriverOptions::default();
+    opts.config.optimize = false;
+    opts
+}
+
 /// Median wall-clock duration of `f` over `n` runs.
 pub fn median_time(n: usize, mut f: impl FnMut()) -> Duration {
     let mut times: Vec<Duration> = (0..n)

@@ -204,6 +204,7 @@ mod tests {
     use linguist_ag::passes::{Direction, PassConfig};
     use linguist_ag::subsumption::SubsumptionCosts;
 
+    /// The paper-faithful configuration (optimizer off), first pass L→R.
     fn lr(costs: SubsumptionCosts) -> Config {
         Config {
             pass: PassConfig {
@@ -211,6 +212,7 @@ mod tests {
                 max_passes: 8,
             },
             costs,
+            optimize: false,
             ..Config::default()
         }
     }
@@ -374,11 +376,7 @@ mod tests {
             copy_heavy_grammar(),
             &Config {
                 disable_subsumption: true,
-                pass: PassConfig {
-                    first_direction: Direction::LeftToRight,
-                    max_passes: 8,
-                },
-                ..Config::default()
+                ..lr(SubsumptionCosts::default())
             },
         )
         .unwrap();

@@ -7,13 +7,14 @@
 //! evaluators emitted by `linguist_codegen::rustgen` through a two-rung
 //! build ladder:
 //!
-//! * **AOT** — the five bundled grammars' generated evaluators are
-//!   checked in under `generated/` and built as ordinary workspace
-//!   members. At runtime a grammar is matched to its AOT entry by the
-//!   FNV-1a content hash of its *current* generated source (plus a full
-//!   string compare), so any drift between the analysis and the
-//!   checked-in artifact falls back instead of running stale code. AOT
-//!   evaluation is an in-process function call.
+//! * **AOT** — the five bundled grammars' generated evaluators, from
+//!   the default (optimized) analysis, are checked in under
+//!   `generated/` and built as ordinary workspace members. At runtime
+//!   a grammar is matched to its AOT entry by the FNV-1a content hash
+//!   of its *current* generated source (plus a full string compare), so
+//!   any drift between the analysis and the checked-in artifact falls
+//!   back instead of running stale code. AOT evaluation is an
+//!   in-process function call.
 //! * **JIT** — novel grammars are compiled on demand with a bare `rustc`
 //!   subprocess into a cache directory keyed by the same content hash
 //!   ([`jit::JitCache`]), then executed as a subprocess speaking the APT
@@ -677,35 +678,10 @@ struct AotEntry {
 }
 
 static AOT_ENTRIES: &[AotEntry] = &[
-    AotEntry {
-        name: "calc",
-        source: include_str!("../generated/calc/src/lib.rs"),
-        func: linguist_aot_calc::evaluate_apt,
-    },
-    AotEntry {
-        name: "knuth",
-        source: include_str!("../generated/knuth/src/lib.rs"),
-        func: linguist_aot_knuth::evaluate_apt,
-    },
-    AotEntry {
-        name: "block",
-        source: include_str!("../generated/block/src/lib.rs"),
-        func: linguist_aot_block::evaluate_apt,
-    },
-    AotEntry {
-        name: "meta",
-        source: include_str!("../generated/meta/src/lib.rs"),
-        func: linguist_aot_meta::evaluate_apt,
-    },
-    AotEntry {
-        name: "pascal",
-        source: include_str!("../generated/pascal/src/lib.rs"),
-        func: linguist_aot_pascal::evaluate_apt,
-    },
-    // The same five grammars through the grammar optimizer (the CLI's
-    // default `--opt=on` pipeline): optimized analyses generate
-    // different evaluator source, so they content-address to their own
-    // entries.
+    // The five bundled grammars through the default (optimized)
+    // analysis. A faithful `--opt=off` analysis generates different
+    // source, finds no entry, and falls back to the interpreter with a
+    // typed `aot_miss`.
     AotEntry {
         name: "calc_opt",
         source: include_str!("../generated/calc_opt/src/lib.rs"),

@@ -37,8 +37,8 @@ use std::fmt;
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Magic bytes opening every intermediate APT file.
@@ -219,28 +219,6 @@ impl FaultSpec {
         Ok(())
     }
 }
-
-/// A memory-resident intermediate "file" — the paper's closing question
-/// made concrete: "would some form of virtual memory system significantly
-/// speed up the evaluators?" Backing the same record format with RAM
-/// instead of disk is that hypothetical; the `ablation_virtual_memory`
-/// bench measures the difference.
-///
-/// The buffer is `Arc<Mutex<…>>` rather than `Rc<RefCell<…>>` so
-/// memory-backed evaluations are `Send` and can run on the batch
-/// evaluator's worker threads.
-///
-/// This is the *legacy shared* form: even uncontended, every record read
-/// and write pays a mutex acquisition (3–4 per record on the read side —
-/// lead length, payload, CRC, trail length). The shared-nothing hot path
-/// writes into an owned `Vec<u8>` ([`AptWriter::create_owned`]) and reads
-/// a sealed immutable `Arc<Vec<u8>>` ([`AptReader::open_shared`]) with no
-/// lock anywhere; `MemFile` survives only for the
-/// [`Backing::SharedMemory`](crate::machine::Backing::SharedMemory)
-/// ablation path, whose lock traffic is surfaced through the
-/// [`EvalStats::lock_acquisitions`](crate::machine::EvalStats::lock_acquisitions)
-/// counter so tests can pin the owned path at zero.
-pub type MemFile = Arc<Mutex<Vec<u8>>>;
 
 /// What a record describes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -497,13 +475,11 @@ pub struct AptWriter {
     sync: bool,
     profile: Option<Arc<IoCounters>>,
     fault: Option<FaultSpec>,
-    lock_tally: Option<Arc<AtomicU64>>,
 }
 
 #[derive(Debug)]
 enum Sink {
     File(BufWriter<File>),
-    Mem(MemFile),
     /// Job-owned buffer: no `Arc`, no `Mutex` — the shared-nothing hot
     /// path. Sealed into an immutable `Arc<Vec<u8>>` by
     /// [`AptWriter::finish_owned`].
@@ -530,33 +506,9 @@ impl AptWriter {
                 sync: false,
                 profile: None,
                 fault: None,
-                lock_tally: None,
             })
         };
         inner().map_err(|e| e.in_file(path))
-    }
-
-    /// Create a writer over a shared memory buffer (truncating it).
-    ///
-    /// Legacy shared-store path: every write locks the buffer's mutex.
-    /// Prefer [`create_owned`](Self::create_owned) for job-local work.
-    pub fn create_mem(buf: MemFile) -> AptWriter {
-        {
-            let mut b = buf.lock().expect("mem file poisoned");
-            b.clear();
-            b.extend_from_slice(&encode_header(0, 0));
-        }
-        AptWriter {
-            sink: Sink::Mem(buf),
-            path: None,
-            bytes: 0,
-            records: 0,
-            crc: 0,
-            sync: false,
-            profile: None,
-            fault: None,
-            lock_tally: None,
-        }
     }
 
     /// Create a writer over a freshly owned memory buffer.
@@ -577,15 +529,7 @@ impl AptWriter {
             sync: false,
             profile: None,
             fault: None,
-            lock_tally: None,
         }
-    }
-
-    /// Attach a contention-visibility counter: every mutex acquisition on
-    /// the shared-memory sink bumps it. File and owned sinks never touch
-    /// it — which is exactly what the zero-lock hot-path tests assert.
-    pub fn set_lock_tally(&mut self, tally: Arc<AtomicU64>) {
-        self.lock_tally = Some(tally);
     }
 
     /// Attach a profiling counter pair; every subsequent [`write`](Self::write)
@@ -638,16 +582,6 @@ impl AptWriter {
                 f.write_all(&rec_crc)?;
                 f.write_all(&len)?;
             }
-            Sink::Mem(m) => {
-                if let Some(t) = &self.lock_tally {
-                    t.fetch_add(1, Ordering::Relaxed);
-                }
-                let mut b = m.lock().expect("mem file poisoned");
-                b.extend_from_slice(&len);
-                b.extend_from_slice(&payload);
-                b.extend_from_slice(&rec_crc);
-                b.extend_from_slice(&len);
-            }
             Sink::Owned(b) => {
                 b.extend_from_slice(&len);
                 b.extend_from_slice(&payload);
@@ -696,7 +630,6 @@ impl AptWriter {
         };
         let path = self.path;
         let sync = self.sync;
-        let lock_tally = self.lock_tally;
         let inner = || -> Result<(), AptError> {
             match self.sink {
                 Sink::File(f) => {
@@ -709,13 +642,6 @@ impl AptWriter {
                     if sync {
                         file.sync_all()?;
                     }
-                }
-                Sink::Mem(m) => {
-                    if let Some(t) = &lock_tally {
-                        t.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let mut b = m.lock().expect("mem file poisoned");
-                    b[..HEADER_LEN as usize].copy_from_slice(&header);
                 }
                 Sink::Owned(mut b) => {
                     b[..HEADER_LEN as usize].copy_from_slice(&header);
@@ -754,7 +680,7 @@ impl AptWriter {
                 b[..HEADER_LEN as usize].copy_from_slice(&header);
                 Ok((summary, b))
             }
-            Sink::File(_) | Sink::Mem(_) => Err(AptError::Io(io::Error::other(
+            Sink::File(_) => Err(AptError::Io(io::Error::other(
                 "finish_owned on a writer without an owned sink",
             ))),
         }
@@ -786,13 +712,11 @@ pub struct AptReader {
     total_bytes: u64,
     profile: Option<Arc<IoCounters>>,
     fault: Option<FaultSpec>,
-    lock_tally: Option<Arc<AtomicU64>>,
 }
 
 #[derive(Debug)]
 enum Source {
     File(File),
-    Mem(MemFile),
     /// A sealed boundary buffer shared immutably: reads are plain slice
     /// copies with no lock — the shared-nothing hot path. The `Arc` is
     /// cloned once per pass (when the store hands out the reader), never
@@ -801,28 +725,11 @@ enum Source {
 }
 
 impl Source {
-    fn read_at(
-        &mut self,
-        pos: u64,
-        out: &mut [u8],
-        lock_tally: Option<&Arc<AtomicU64>>,
-    ) -> Result<(), AptError> {
+    fn read_at(&mut self, pos: u64, out: &mut [u8]) -> Result<(), AptError> {
         match self {
             Source::File(f) => {
                 f.seek(SeekFrom::Start(pos))?;
                 f.read_exact(out)?;
-                Ok(())
-            }
-            Source::Mem(m) => {
-                if let Some(t) = lock_tally {
-                    t.fetch_add(1, Ordering::Relaxed);
-                }
-                let b = m.lock().expect("mem file poisoned");
-                let start = pos as usize;
-                let slice = b
-                    .get(start..start + out.len())
-                    .ok_or(AptError::Frame { at: pos })?;
-                out.copy_from_slice(slice);
                 Ok(())
             }
             Source::Shared(b) => {
@@ -917,48 +824,9 @@ impl AptReader {
                 total_bytes,
                 profile: None,
                 fault: None,
-                lock_tally: None,
             })
         };
         inner().map_err(|e| e.in_file(path))
-    }
-
-    /// Open a shared memory buffer for reading in `dir`.
-    ///
-    /// Legacy shared-store path: every record read locks the buffer's
-    /// mutex several times. Prefer [`open_shared`](Self::open_shared) for
-    /// sealed job-local boundaries.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AptError::Header`] under the same conditions as
-    /// [`open`](Self::open).
-    pub fn open_mem(buf: MemFile, dir: ReadDir) -> Result<AptReader, AptError> {
-        let (end, total_records, total_bytes) = {
-            let b = buf.lock().expect("mem file poisoned");
-            let len = b.len() as u64;
-            if len < HEADER_LEN {
-                return Err(AptError::Header(HeaderError::Truncated { len }));
-            }
-            check_header(&b[..HEADER_LEN as usize], len)?
-        };
-        Ok(AptReader {
-            src: Source::Mem(buf),
-            path: None,
-            pos: match dir {
-                ReadDir::Forward => HEADER_LEN,
-                ReadDir::Backward => end,
-            },
-            end,
-            dir,
-            bytes: 0,
-            records: 0,
-            total_records,
-            total_bytes,
-            profile: None,
-            fault: None,
-            lock_tally: None,
-        })
     }
 
     /// Open a sealed, immutably shared boundary buffer for reading in
@@ -992,15 +860,7 @@ impl AptReader {
             total_bytes,
             profile: None,
             fault: None,
-            lock_tally: None,
         })
-    }
-
-    /// Attach a contention-visibility counter: every mutex acquisition on
-    /// the shared-memory source bumps it (several per record). File and
-    /// sealed-shared sources never touch it.
-    pub fn set_lock_tally(&mut self, tally: Arc<AtomicU64>) {
-        self.lock_tally = Some(tally);
     }
 
     /// Attach a profiling counter pair; every subsequent [`next`](Self::next)
@@ -1046,21 +906,17 @@ impl AptReader {
                     return Ok(None);
                 }
                 let mut len4 = [0u8; 4];
-                self.src
-                    .read_at(self.pos, &mut len4, self.lock_tally.as_ref())?;
+                self.src.read_at(self.pos, &mut len4)?;
                 let len = u32::from_le_bytes(len4) as u64;
                 if self.pos + FRAME_OVERHEAD + len > self.end {
                     return Err(AptError::Frame { at: self.pos });
                 }
                 let mut payload = vec![0u8; len as usize];
-                self.src
-                    .read_at(self.pos + 4, &mut payload, self.lock_tally.as_ref())?;
+                self.src.read_at(self.pos + 4, &mut payload)?;
                 let mut crc4 = [0u8; 4];
-                self.src
-                    .read_at(self.pos + 4 + len, &mut crc4, self.lock_tally.as_ref())?;
+                self.src.read_at(self.pos + 4 + len, &mut crc4)?;
                 let mut trail = [0u8; 4];
-                self.src
-                    .read_at(self.pos + 8 + len, &mut trail, self.lock_tally.as_ref())?;
+                self.src.read_at(self.pos + 8 + len, &mut trail)?;
                 if trail != len4 {
                     return Err(AptError::Frame { at: self.pos });
                 }
@@ -1077,25 +933,21 @@ impl AptReader {
                     return Err(AptError::Frame { at: self.pos });
                 }
                 let mut len4 = [0u8; 4];
-                self.src
-                    .read_at(self.pos - 4, &mut len4, self.lock_tally.as_ref())?;
+                self.src.read_at(self.pos - 4, &mut len4)?;
                 let len = u32::from_le_bytes(len4) as u64;
                 if self.pos < HEADER_LEN + FRAME_OVERHEAD + len {
                     return Err(AptError::Frame { at: self.pos });
                 }
                 let start = self.pos - FRAME_OVERHEAD - len;
                 let mut lead = [0u8; 4];
-                self.src
-                    .read_at(start, &mut lead, self.lock_tally.as_ref())?;
+                self.src.read_at(start, &mut lead)?;
                 if lead != len4 {
                     return Err(AptError::Frame { at: self.pos });
                 }
                 let mut payload = vec![0u8; len as usize];
-                self.src
-                    .read_at(start + 4, &mut payload, self.lock_tally.as_ref())?;
+                self.src.read_at(start + 4, &mut payload)?;
                 let mut crc4 = [0u8; 4];
-                self.src
-                    .read_at(start + 4 + len, &mut crc4, self.lock_tally.as_ref())?;
+                self.src.read_at(start + 4 + len, &mut crc4)?;
                 self.check_crc(start, &payload, crc4)?;
                 self.pos = start;
                 self.advance(FRAME_OVERHEAD + len);

@@ -12,7 +12,7 @@
 //! Per-job isolation is structural, not locked-in: every call to
 //! [`evaluate`] constructs its own intermediate store (a fresh
 //! [`TempAptDir`](crate::aptfile::TempAptDir) on disk, or a private set
-//! of [`MemFile`](crate::aptfile::MemFile) buffers in RAM), so two jobs
+//! of owned buffers in RAM), so two jobs
 //! can never observe each other's boundary files. The shared inputs —
 //! the [`Analysis`] and the [`Funcs`] registry — are read-only and
 //! `Sync`, crossed by reference via `std::thread::scope`.
@@ -172,13 +172,6 @@ pub struct BatchStats {
     /// recorded a [`FailureKind::Panicked`] failure instead of letting
     /// the panic poison the coordinator.
     pub panicked: usize,
-    /// Mutex acquisitions the jobs' intermediate stores performed,
-    /// summed across successful jobs at join time. Zero on the
-    /// shared-nothing [`Backing::Memory`](crate::machine::Backing::Memory)
-    /// and disk paths; counts every per-record lock under the legacy
-    /// [`Backing::SharedMemory`](crate::machine::Backing::SharedMemory)
-    /// ablation.
-    pub lock_acquisitions: u64,
     /// One typed entry per failed job, in input order.
     pub failures: Vec<JobFailure>,
     /// Aggregated pass-level profile across successful jobs, present
@@ -211,7 +204,6 @@ impl BatchStats {
         }
         self.total_io_bytes += stats.total_io_bytes();
         self.total_rules += stats.total_rules();
-        self.lock_acquisitions += stats.lock_acquisitions;
     }
 
     fn absorb_metrics(&mut self, metrics: &EvalMetrics) {

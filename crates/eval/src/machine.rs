@@ -20,7 +20,7 @@
 
 use crate::aptfile::{
     boundary_path, file_summary, AptError, AptReader, AptWriter, FaultSpec, FaultTarget,
-    FileSummary, MemFile, ReadDir, Record, RecordBody, TempAptDir,
+    FileSummary, ReadDir, Record, RecordBody, TempAptDir,
 };
 use crate::funcs::{FuncError, Funcs};
 use crate::manifest::{Manifest, ManifestError, PassEntry};
@@ -39,8 +39,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How the initial linearized APT file is produced (§II).
@@ -70,12 +69,6 @@ pub enum Backing {
     /// mutex is taken anywhere on the read/write path. This is the
     /// shared-nothing batch hot path.
     Memory,
-    /// The legacy mutex-guarded RAM store (`Arc<Mutex<Vec<u8>>>` per
-    /// boundary): every record read and write pays a lock acquisition.
-    /// Kept as an ablation so the contention the shared-nothing refactor
-    /// removed stays measurable — its lock traffic is reported through
-    /// [`EvalStats::lock_acquisitions`].
-    SharedMemory,
 }
 
 /// Evaluation options.
@@ -204,12 +197,6 @@ pub struct EvalStats {
     /// When the evaluation resumed from a checkpoint, the boundary it
     /// restarted after (passes `1..=resumed_from` were *not* re-run).
     pub resumed_from: Option<u16>,
-    /// Mutex acquisitions the intermediate store performed. Zero for
-    /// [`Backing::Disk`] and the owned [`Backing::Memory`] path; counts
-    /// every lock (per-record and per-boundary) under the legacy
-    /// [`Backing::SharedMemory`] ablation. The scaling tests assert this
-    /// is zero on the batch hot path.
-    pub lock_acquisitions: u64,
 }
 
 impl EvalStats {
@@ -714,10 +701,6 @@ fn evaluate_inner(
                 .ok_or_else(|| EvalError::Missing(format!("root output {}", g.attr_name(a))))?;
             outputs.push((a, v.clone()));
         }
-    }
-    machine.stats.lock_acquisitions = store.lock_acquisitions();
-    if let Some(m) = &mut metrics {
-        m.lock_acquisitions = machine.stats.lock_acquisitions;
     }
     Ok(Evaluation {
         outputs,
@@ -1290,10 +1273,11 @@ impl<'a> Machine<'a> {
 }
 
 /// Per-evaluation intermediate storage: a temp directory of real files
-/// (the paper), a job-owned set of RAM buffers (the shared-nothing batch
-/// hot path), or the legacy mutex-guarded RAM store (the contention
-/// ablation). Each evaluation builds its own `Store`, so jobs running on
-/// different batch-evaluator threads never share intermediate state.
+/// (the paper) or a job-owned set of RAM buffers (the shared-nothing
+/// batch hot path). No variant holds a `Mutex`, so the store is
+/// lock-free by construction. Each evaluation builds its own `Store`, so
+/// jobs running on different batch-evaluator threads never share
+/// intermediate state.
 enum Store {
     Disk(TempAptDir),
     /// A caller-owned persistent checkpoint directory: same file layout
@@ -1311,14 +1295,6 @@ enum Store {
     /// (not `Mutex`) is sound because a `Store` never leaves the
     /// evaluation's thread.
     Memory(RefCell<HashMap<u16, Arc<Vec<u8>>>>),
-    /// The legacy shared store: one `Arc<Mutex<Vec<u8>>>` per boundary,
-    /// locked on every record read and write. `lock_tally` counts every
-    /// acquisition so [`EvalStats::lock_acquisitions`] can expose what
-    /// the owned path saves.
-    SharedMemory {
-        files: Mutex<HashMap<u16, MemFile>>,
-        lock_tally: Arc<AtomicU64>,
-    },
 }
 
 impl Store {
@@ -1326,28 +1302,7 @@ impl Store {
         Ok(match backing {
             Backing::Disk => Store::Disk(TempAptDir::new()?),
             Backing::Memory => Store::Memory(RefCell::new(HashMap::new())),
-            Backing::SharedMemory => Store::SharedMemory {
-                files: Mutex::new(HashMap::new()),
-                lock_tally: Arc::new(AtomicU64::new(0)),
-            },
         })
-    }
-
-    fn buffer(&self, k: u16) -> MemFile {
-        match self {
-            Store::SharedMemory { files, lock_tally } => {
-                lock_tally.fetch_add(1, Ordering::Relaxed);
-                files
-                    .lock()
-                    .expect("store poisoned")
-                    .entry(k)
-                    .or_insert_with(|| Arc::new(Mutex::new(Vec::new())))
-                    .clone()
-            }
-            Store::Disk(_) | Store::Dir(_) | Store::Memory(_) => {
-                unreachable!("buffer() is shared-memory-only")
-            }
-        }
     }
 
     /// The sealed boundary-`k` buffer (empty if the boundary was never
@@ -1365,14 +1320,6 @@ impl Store {
             Store::Disk(dir) => AptWriter::create(&dir.boundary(k)),
             Store::Dir(dir) => AptWriter::create(&boundary_path(dir, k)),
             Store::Memory(_) => Ok(AptWriter::create_owned()),
-            Store::SharedMemory { lock_tally, .. } => {
-                let mut w = AptWriter::create_mem(self.buffer(k));
-                // `create_mem` locked once to truncate and stamp the
-                // placeholder header, before the tally was attached.
-                lock_tally.fetch_add(1, Ordering::Relaxed);
-                w.set_lock_tally(lock_tally.clone());
-                Ok(w)
-            }
         }
     }
 
@@ -1381,14 +1328,6 @@ impl Store {
             Store::Disk(dir) => AptReader::open(&dir.boundary(k), dir_),
             Store::Dir(dir) => AptReader::open(&boundary_path(dir, k), dir_),
             Store::Memory(_) => AptReader::open_shared(self.sealed(k), dir_),
-            Store::SharedMemory { lock_tally, .. } => {
-                let mut r = AptReader::open_mem(self.buffer(k), dir_)?;
-                // `open_mem` locked once to validate the header, before
-                // the tally was attached.
-                lock_tally.fetch_add(1, Ordering::Relaxed);
-                r.set_lock_tally(lock_tally.clone());
-                Ok(r)
-            }
         }
     }
 
@@ -1402,16 +1341,7 @@ impl Store {
                 files.borrow_mut().insert(k, Arc::new(buf));
                 Ok(summary)
             }
-            Store::Disk(_) | Store::Dir(_) | Store::SharedMemory { .. } => w.finish_summary(),
-        }
-    }
-
-    /// Mutex acquisitions performed so far (always zero outside
-    /// [`Store::SharedMemory`]).
-    fn lock_acquisitions(&self) -> u64 {
-        match self {
-            Store::SharedMemory { lock_tally, .. } => lock_tally.load(Ordering::Relaxed),
-            _ => 0,
+            Store::Disk(_) | Store::Dir(_) => w.finish_summary(),
         }
     }
 }

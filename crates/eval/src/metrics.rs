@@ -146,14 +146,6 @@ pub struct EvalMetrics {
     pub initial_records: u64,
     /// Framed bytes written to the parser-built boundary-0 file.
     pub initial_bytes: u64,
-    /// Mutex acquisitions on the APT store during evaluation — the
-    /// contention-visibility counter. Zero on the shared-nothing owned
-    /// path ([`Backing::Memory`](crate::machine::Backing::Memory)) and on
-    /// disk; non-zero only under the legacy
-    /// [`Backing::SharedMemory`](crate::machine::Backing::SharedMemory)
-    /// ablation, where every record read/write pays the lock. Tests pin
-    /// the batch hot path at zero through this field.
-    pub lock_acquisitions: u64,
     /// One row per alternating pass.
     pub passes: Vec<PassIo>,
 }
@@ -187,7 +179,6 @@ impl EvalMetrics {
     pub fn merge(&mut self, other: &EvalMetrics) {
         self.initial_records += other.initial_records;
         self.initial_bytes += other.initial_bytes;
-        self.lock_acquisitions += other.lock_acquisitions;
         for row in &other.passes {
             match self.passes.iter_mut().find(|r| r.pass == row.pass) {
                 Some(mine) => mine.add(row),
@@ -248,18 +239,15 @@ mod tests {
         let mut a = EvalMetrics {
             initial_records: 5,
             initial_bytes: 50,
-            lock_acquisitions: 2,
             passes: vec![row(1, 10)],
         };
         let b = EvalMetrics {
             initial_records: 3,
             initial_bytes: 30,
-            lock_acquisitions: 3,
             passes: vec![row(1, 4), row(2, 7)],
         };
         a.merge(&b);
         assert_eq!(a.initial_records, 8);
-        assert_eq!(a.lock_acquisitions, 5);
         assert_eq!(a.passes.len(), 2);
         assert_eq!(a.passes[0].records_read, 14);
         assert_eq!(a.passes[1].records_read, 7);

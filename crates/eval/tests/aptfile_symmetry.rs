@@ -9,11 +9,9 @@
 //! and a record carrying the u16-maximum 65535 attribute instances.
 
 use linguist_ag::ids::{AttrId, ProdId, SymbolId};
-use linguist_eval::aptfile::{
-    AptReader, AptWriter, MemFile, ReadDir, Record, RecordBody, TempAptDir,
-};
+use linguist_eval::aptfile::{AptReader, AptWriter, ReadDir, Record, RecordBody, TempAptDir};
 use linguist_eval::value::Value;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 fn sample_records() -> Vec<Record> {
     (0..25u32)
@@ -47,15 +45,15 @@ fn disk_round_trip(recs: &[Record], dir: ReadDir) -> Vec<Record> {
     out
 }
 
-/// Write `recs`, then read them back in `dir` — in memory.
+/// Write `recs`, then read them back in `dir` — in memory, through the
+/// owned writer and the sealed shared reader.
 fn mem_round_trip(recs: &[Record], dir: ReadDir) -> Vec<Record> {
-    let buf: MemFile = Arc::new(Mutex::new(Vec::new()));
-    let mut w = AptWriter::create_mem(buf.clone());
+    let mut w = AptWriter::create_owned();
     for r in recs {
         w.write(r).unwrap();
     }
-    w.finish().unwrap();
-    let mut rd = AptReader::open_mem(buf, dir).unwrap();
+    let (_, buf) = w.finish_owned().unwrap();
+    let mut rd = AptReader::open_shared(Arc::new(buf), dir).unwrap();
     let mut out = Vec::new();
     while let Some(rec) = rd.next().unwrap() {
         out.push(rec);
@@ -92,21 +90,16 @@ fn disk_and_memory_produce_identical_bytes() {
     }
     let (disk_bytes, disk_records) = w.finish().unwrap();
 
-    let buf: MemFile = Arc::new(Mutex::new(Vec::new()));
-    let mut w = AptWriter::create_mem(buf.clone());
+    let mut w = AptWriter::create_owned();
     for r in &recs {
         w.write(r).unwrap();
     }
-    let (mem_bytes, mem_records) = w.finish().unwrap();
+    let (summary, buf) = w.finish_owned().unwrap();
 
-    assert_eq!(disk_bytes, mem_bytes);
-    assert_eq!(disk_records, mem_records);
+    assert_eq!(disk_bytes, summary.bytes);
+    assert_eq!(disk_records, summary.records);
     let on_disk = std::fs::read(&path).unwrap();
-    assert_eq!(
-        on_disk,
-        *buf.lock().unwrap(),
-        "identical framing regardless of backing"
-    );
+    assert_eq!(on_disk, buf, "identical framing regardless of backing");
 }
 
 #[test]

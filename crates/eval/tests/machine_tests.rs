@@ -12,12 +12,15 @@ use linguist_eval::machine::{evaluate, EvalOptions, Strategy};
 use linguist_eval::tree::PTree;
 use linguist_eval::value::Value;
 
+/// The paper-faithful configuration (optimizer off): these tests pin the
+/// evaluator's own pass, record and subsumption mechanics.
 fn config(first: Direction) -> Config {
     Config {
         pass: PassConfig {
             first_direction: first,
             max_passes: 8,
         },
+        optimize: false,
         ..Config::default()
     }
 }

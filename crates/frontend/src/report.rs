@@ -441,11 +441,10 @@ pub fn metrics_json(m: &EvalMetrics) -> String {
     );
     let _ = write!(
         out,
-        ",\"total_io_bytes\":{},\"total_attrs_evaluated\":{},\"total_funcs_invoked\":{},\"lock_acquisitions\":{}",
+        ",\"total_io_bytes\":{},\"total_attrs_evaluated\":{},\"total_funcs_invoked\":{}",
         m.total_io_bytes(),
         m.total_attrs_evaluated(),
-        m.total_funcs_invoked(),
-        m.lock_acquisitions
+        m.total_funcs_invoked()
     );
     out.push_str(",\"passes\":[");
     for (i, p) in m.passes.iter().enumerate() {

@@ -11,8 +11,15 @@ use linguist_support::json::Json;
 
 const META: &str = include_str!("../../grammars/lg/meta.lg");
 
+/// Check under the paper-faithful configuration (optimizer off): the
+/// goldens pin what the paper's analyses find, before the optimizer
+/// folds or removes any of it.
 fn check(source: &str) -> CheckReport {
-    check_source(source, &Config::default(), &LintConfig::default())
+    let config = Config {
+        optimize: false,
+        ..Config::default()
+    };
+    check_source(source, &config, &LintConfig::default())
 }
 
 fn only(report: &CheckReport, code: &str) -> Vec<Finding> {

@@ -174,7 +174,9 @@ pub fn meta_scanner() -> Scanner {
         .expect("meta scanner is well-formed")
 }
 
-/// Run the overlay driver on a bundled source with default options.
+/// Run the overlay driver on a bundled source with default options —
+/// the grammar optimizer on, exactly as the CLI runs it and as the
+/// `*_opt` AOT evaluator crates are generated.
 ///
 /// # Errors
 ///
@@ -182,24 +184,6 @@ pub fn meta_scanner() -> Scanner {
 /// fail).
 pub fn analyze(source: &str) -> Result<DriverOutput, linguist_frontend::DriverError> {
     run(source, &DriverOptions::default())
-}
-
-/// [`analyze`] with the grammar optimizer on — the analysis the CLI's
-/// default (`--opt=on`) produces, and the one the `*_opt` AOT evaluator
-/// crates are generated from.
-///
-/// # Errors
-///
-/// Propagates the driver's error.
-pub fn analyze_optimized(source: &str) -> Result<DriverOutput, linguist_frontend::DriverError> {
-    let opts = DriverOptions {
-        config: linguist_ag::analysis::Config {
-            optimize: true,
-            ..Default::default()
-        },
-        ..DriverOptions::default()
-    };
-    run(source, &opts)
 }
 
 /// Generate a Pascal-subset program with `vars` declarations and
@@ -300,8 +284,16 @@ mod tests {
     fn meta_grammar_has_papers_profile_shape() {
         // E7: not the paper's absolute numbers (its grammar is bigger),
         // but the same shape: half the semantic functions are copy-rules
-        // and most copies are implicit.
-        let out = analyze(meta_source()).unwrap();
+        // and most copies are implicit — on the paper-faithful grammar,
+        // before the optimizer collapses any copy chains.
+        let faithful = DriverOptions {
+            config: linguist_ag::analysis::Config {
+                optimize: false,
+                ..Default::default()
+            },
+            ..DriverOptions::default()
+        };
+        let out = run(meta_source(), &faithful).unwrap();
         let s = out.stats;
         assert!(s.symbols > 60, "symbols = {}", s.symbols);
         assert!(s.productions > 50, "productions = {}", s.productions);

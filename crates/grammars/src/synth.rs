@@ -179,8 +179,8 @@ impl SynthGrammar {
 // flat synthesized-only grammar, so it always returns an analyzable
 // grammar and the differential harness's case count stays exact.
 
-use linguist_ag::analysis::Config;
 use linguist_ag::ids::AttrId;
+use linguist_frontend::differential::faithful;
 use linguist_frontend::driver::analyze;
 use linguist_frontend::printer::print_grammar;
 use proptest::prelude::*;
@@ -333,7 +333,9 @@ pub fn shape_strategy() -> BoxedStrategy<ShapeParams> {
 ///
 /// The shape is built rank-correct by construction, then validated by
 /// round-tripping its printed source through the full frontend pipeline
-/// (`analyze`, i.e. parse → lower → implicit copies → pass analysis). If
+/// (`analyze` under the differential oracle's paper-faithful baseline
+/// configuration, i.e. parse → lower → implicit copies → pass analysis),
+/// so the shape space does not move when the optimizer changes. If
 /// validation fails, features are peeled off one at a time — multi-target,
 /// limbs, implicit copies, finally the whole ladder — and the attempt
 /// count is reported in [`ShapedGrammar::degraded`], so the differential
@@ -344,7 +346,7 @@ pub fn realize(params: &ShapeParams) -> ShapedGrammar {
         let grammar = construct(&p);
         let name = format!("fz_{}_{:016x}", p.family.tag(), p.seed);
         let source = print_grammar(&grammar, &name);
-        if analyze(&source, &Config::default()).is_ok() {
+        if analyze(&source, &faithful()).is_ok() {
             return ShapedGrammar {
                 params: p,
                 name,
@@ -816,7 +818,7 @@ mod tests {
             let params = strat.generate(&mut rng);
             let sg = realize(&params);
             degraded += u32::from(sg.degraded > 0);
-            let analysis = analyze(&sg.source, &Config::default())
+            let analysis = analyze(&sg.source, &faithful())
                 .unwrap_or_else(|e| panic!("realized grammar must analyze: {}\n{}", e, sg.source));
             if analysis.passes.num_passes() > 1 {
                 multipass += 1;
@@ -845,7 +847,7 @@ mod tests {
             seed: 11,
         };
         let sg = realize(&p);
-        let analysis = analyze(&sg.source, &Config::default()).unwrap();
+        let analysis = analyze(&sg.source, &faithful()).unwrap();
         assert!(
             analysis.passes.num_passes() >= 2,
             "rank-3 ladder should need >= 2 passes, got {}\n{}",

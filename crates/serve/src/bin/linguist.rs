@@ -14,7 +14,8 @@
 //!   --opt[=on|off]       run the grammar optimizer (constant folding,
 //!                        copy-chain collapsing, dead-attribute
 //!                        elimination) before scheduling; default on,
-//!                        `--opt=off` is the ablation
+//!                        as in the library; `--opt=off` is the
+//!                        paper-faithful configuration
 //!   --no-subsumption     disable static subsumption
 //!   --coalesce           use the cross-name coalescing extension
 //!   --batch              process the grammars as a parallel batch
@@ -37,9 +38,7 @@
 //!   Write the grammar's generated evaluator to DIR (default
 //!   `<stem>-evaluator/`) as a standalone dependency-free Rust binary
 //!   crate: boundary-0 APT on stdin, encoded root outputs on stdout.
-//!   The same source the compiled engine builds. When the optimizer is
-//!   on (the default), a `impact.json` sidecar records the
-//!   per-production change-impact closures for incremental consumers.
+//!   The same source the compiled engine builds.
 //!
 //! linguist check GRAMMAR.lg [--format text|json] [--deny-warnings]
 //!                [--first-pass rl|lr] [--opt[=on|off]]
@@ -127,7 +126,7 @@
 
 use linguist_ag::analysis::Config;
 use linguist_ag::lint::LintConfig;
-use linguist_ag::passes::{Direction, PassConfig};
+use linguist_ag::passes::Direction;
 use linguist_ag::subsumption::GroupMode;
 use linguist_codegen::rustgen;
 use linguist_engine::EngineKind;
@@ -160,10 +159,7 @@ struct Cli {
     timings: bool,
     profile: Option<ProfileFmt>,
     emit: Option<TargetOpt>,
-    first: Direction,
-    optimize: bool,
-    no_subsumption: bool,
-    coalesce: bool,
+    config: Config,
     batch: bool,
     jobs: Option<usize>,
     retries: u32,
@@ -232,6 +228,39 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// The optimizer setting `--opt`, `--opt=on` or `--opt=off` names, or
+/// `None` for any other argument.
+fn opt_flag(a: &str) -> Option<bool> {
+    match a {
+        "--opt" | "--opt=on" => Some(true),
+        "--opt=off" => Some(false),
+        _ => None,
+    }
+}
+
+/// Apply one analysis flag — `--first-pass rl|lr`, `--opt[=on|off]`,
+/// `--no-subsumption` or `--coalesce` — to `config`, taking the flag's
+/// value from `args`. The grammar, `check` and `codegen` commands parse
+/// these here, starting from the library's [`Config::default`], so the
+/// CLI has no defaults of its own. Returns `false` when `a` is not an
+/// analysis flag.
+fn analysis_flag(a: &str, args: &mut impl Iterator<Item = String>, config: &mut Config) -> bool {
+    match a {
+        "--first-pass" => match args.next().as_deref() {
+            Some("rl") => config.pass.first_direction = Direction::RightToLeft,
+            Some("lr") => config.pass.first_direction = Direction::LeftToRight,
+            _ => usage(),
+        },
+        "--no-subsumption" => config.disable_subsumption = true,
+        "--coalesce" => config.group_mode = GroupMode::CoalesceCopies,
+        _ => match opt_flag(a) {
+            Some(on) => config.optimize = on,
+            None => return false,
+        },
+    }
+    true
+}
+
 fn parse_args(args: Vec<String>) -> Cli {
     let mut cli = Cli {
         paths: Vec::new(),
@@ -240,10 +269,7 @@ fn parse_args(args: Vec<String>) -> Cli {
         timings: false,
         profile: None,
         emit: None,
-        first: Direction::RightToLeft,
-        optimize: true,
-        no_subsumption: false,
-        coalesce: false,
+        config: Config::default(),
         batch: false,
         jobs: None,
         retries: 0,
@@ -274,10 +300,6 @@ fn parse_args(args: Vec<String>) -> Cli {
                 }
             }
             "--profile=json" => cli.profile = Some(ProfileFmt::Json),
-            "--opt" | "--opt=on" => cli.optimize = true,
-            "--opt=off" => cli.optimize = false,
-            "--no-subsumption" => cli.no_subsumption = true,
-            "--coalesce" => cli.coalesce = true,
             "--batch" => cli.batch = true,
             "--jobs" => match args.next().and_then(|n| n.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => cli.jobs = Some(n),
@@ -297,16 +319,12 @@ fn parse_args(args: Vec<String>) -> Cli {
                 Some("rust") => cli.emit = Some(TargetOpt::Rust),
                 _ => usage(),
             },
-            "--first-pass" => match args.next().as_deref() {
-                Some("rl") => cli.first = Direction::RightToLeft,
-                Some("lr") => cli.first = Direction::LeftToRight,
-                _ => usage(),
-            },
             "--engine" => match args.next().as_deref().and_then(EngineKind::parse) {
                 Some(kind) => cli.engine = kind,
                 None => usage(),
             },
             "--help" | "-h" => usage(),
+            _ if analysis_flag(&a, &mut args, &mut cli.config) => {}
             _ if !a.starts_with('-') => cli.paths.push(a),
             _ => usage(),
         }
@@ -365,10 +383,7 @@ fn check_main(args: Vec<String>) -> ExitCode {
     let mut path = None;
     let mut json = false;
     let mut deny_warnings = false;
-    let mut first = Direction::RightToLeft;
-    let mut optimize = true;
-    let mut no_subsumption = false;
-    let mut coalesce = false;
+    let mut config = Config::default();
     let mut args = args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -380,16 +395,8 @@ fn check_main(args: Vec<String>) -> ExitCode {
             "--format=text" => json = false,
             "--format=json" => json = true,
             "--deny-warnings" => deny_warnings = true,
-            "--first-pass" => match args.next().as_deref() {
-                Some("rl") => first = Direction::RightToLeft,
-                Some("lr") => first = Direction::LeftToRight,
-                _ => usage(),
-            },
-            "--opt" | "--opt=on" => optimize = true,
-            "--opt=off" => optimize = false,
-            "--no-subsumption" => no_subsumption = true,
-            "--coalesce" => coalesce = true,
             "--help" | "-h" => usage(),
+            _ if analysis_flag(&a, &mut args, &mut config) => {}
             _ if !a.starts_with('-') && path.is_none() => path = Some(a),
             _ => usage(),
         }
@@ -401,20 +408,6 @@ fn check_main(args: Vec<String>) -> ExitCode {
             eprintln!("linguist check: cannot read {}: {}", path, e);
             return ExitCode::FAILURE;
         }
-    };
-    let config = Config {
-        pass: PassConfig {
-            first_direction: first,
-            max_passes: 32,
-        },
-        optimize,
-        disable_subsumption: no_subsumption,
-        group_mode: if coalesce {
-            GroupMode::CoalesceCopies
-        } else {
-            GroupMode::SameName
-        },
-        ..Config::default()
     };
     let report = check_source(&source, &config, &LintConfig::default());
     if json {
@@ -443,10 +436,7 @@ fn check_main(args: Vec<String>) -> ExitCode {
 fn codegen_main(args: Vec<String>) -> ExitCode {
     let mut path = None;
     let mut out: Option<PathBuf> = None;
-    let mut first = Direction::RightToLeft;
-    let mut optimize = true;
-    let mut no_subsumption = false;
-    let mut coalesce = false;
+    let mut config = Config::default();
     let mut args = args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -454,16 +444,8 @@ fn codegen_main(args: Vec<String>) -> ExitCode {
                 Some(d) if !d.starts_with('-') => out = Some(d.into()),
                 _ => usage(),
             },
-            "--first-pass" => match args.next().as_deref() {
-                Some("rl") => first = Direction::RightToLeft,
-                Some("lr") => first = Direction::LeftToRight,
-                _ => usage(),
-            },
-            "--opt" | "--opt=on" => optimize = true,
-            "--opt=off" => optimize = false,
-            "--no-subsumption" => no_subsumption = true,
-            "--coalesce" => coalesce = true,
             "--help" | "-h" => usage(),
+            _ if analysis_flag(&a, &mut args, &mut config) => {}
             _ if !a.starts_with('-') && path.is_none() => path = Some(a),
             _ => usage(),
         }
@@ -475,20 +457,6 @@ fn codegen_main(args: Vec<String>) -> ExitCode {
             eprintln!("linguist codegen: cannot read {}: {}", path, e);
             return ExitCode::FAILURE;
         }
-    };
-    let config = Config {
-        pass: PassConfig {
-            first_direction: first,
-            max_passes: 32,
-        },
-        optimize,
-        disable_subsumption: no_subsumption,
-        group_mode: if coalesce {
-            GroupMode::CoalesceCopies
-        } else {
-            GroupMode::SameName
-        },
-        ..Config::default()
     };
     let analysis = match linguist_frontend::driver::analyze(&source, &config) {
         Ok(a) => a,
@@ -532,54 +500,10 @@ fn codegen_main(args: Vec<String>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    // With the optimizer on, serialize the per-production change-impact
-    // closures next to the crate: which attributes can change when a
-    // subtree rooted at each production is re-translated — the substrate
-    // incremental consumers key invalidation off.
-    let mut extra_files: Vec<PathBuf> = Vec::new();
-    if let Some(report) = &analysis.opt {
-        let g = &analysis.grammar;
-        let impact = Json::Arr(
-            report
-                .impact
-                .iter()
-                .enumerate()
-                .map(|(p, closure)| {
-                    let affected: Vec<Json> = closure
-                        .affected
-                        .iter()
-                        .map(|&a| {
-                            Json::str(&format!(
-                                "{}.{}",
-                                g.symbol_name(g.attr(a).symbol),
-                                g.attr_name(a)
-                            ))
-                        })
-                        .collect();
-                    Json::Obj(vec![
-                        ("production".to_string(), Json::int(p as i64)),
-                        (
-                            "lhs".to_string(),
-                            Json::str(
-                                g.symbol_name(g.production(linguist_ag::ProdId(p as u32)).lhs),
-                            ),
-                        ),
-                        ("affected".to_string(), Json::Arr(affected)),
-                    ])
-                })
-                .collect(),
-        );
-        let target = out_dir.join("impact.json");
-        if let Err(e) = std::fs::write(&target, format!("{}\n", impact)) {
-            eprintln!("linguist codegen: cannot write {}: {}", target.display(), e);
-            return ExitCode::FAILURE;
-        }
-        extra_files.push(target);
-    }
     let evaluator = rustgen::rust_source(&analysis);
     println!(
         "wrote {} file(s) to {} ({} evaluator lines, content hash {})",
-        files.len() + extra_files.len(),
+        files.len(),
         out_dir.display(),
         evaluator.lines().count(),
         rustgen::content_hash(evaluator.as_bytes()),
@@ -587,18 +511,12 @@ fn codegen_main(args: Vec<String>) -> ExitCode {
     for (rel, _content) in &files {
         println!("  {}", out_dir.join(rel).display());
     }
-    for target in &extra_files {
-        println!("  {}", target.display());
-    }
     ExitCode::SUCCESS
 }
 
 /// `linguist serve ...`: run the resident translation service.
 fn serve_main(args: Vec<String>) -> ExitCode {
     let mut cfg = ServerConfig::default();
-    // The CLI defaults the optimizer ON (the library default is off so
-    // the paper's figures stay reproducible programmatically).
-    cfg.config.optimize = true;
     let mut args = args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -639,9 +557,10 @@ fn serve_main(args: Vec<String>) -> ExitCode {
                 Some(kind) => cfg.engine.kind = kind,
                 None => usage(),
             },
-            "--opt" | "--opt=on" => cfg.config.optimize = true,
-            "--opt=off" => cfg.config.optimize = false,
-            _ => usage(),
+            _ => match opt_flag(&a) {
+                Some(on) => cfg.config.optimize = on,
+                None => usage(),
+            },
         }
     }
     if cfg.unix_path.is_none() && cfg.tcp_addr.is_none() {
@@ -1124,20 +1043,7 @@ fn main() -> ExitCode {
         }
     }
     let opts = DriverOptions {
-        config: Config {
-            pass: PassConfig {
-                first_direction: cli.first,
-                max_passes: 32,
-            },
-            optimize: cli.optimize,
-            disable_subsumption: cli.no_subsumption,
-            group_mode: if cli.coalesce {
-                GroupMode::CoalesceCopies
-            } else {
-                GroupMode::SameName
-            },
-            ..Config::default()
-        },
+        config: cli.config,
         target: cli.emit,
         engine: cli.engine,
     };

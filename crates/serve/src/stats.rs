@@ -191,10 +191,6 @@ impl ServiceMetrics {
                         Json::int(eval.total_funcs_invoked() as i64),
                     ),
                     (
-                        "lock_acquisitions".to_string(),
-                        Json::int(eval.lock_acquisitions as i64),
-                    ),
-                    (
                         "passes".to_string(),
                         Json::Arr(
                             eval.passes
@@ -254,7 +250,6 @@ mod tests {
         EvalMetrics {
             initial_records: n,
             initial_bytes: 10 * n,
-            lock_acquisitions: 0,
             passes: vec![PassIo {
                 pass: 1,
                 direction: ReadDir::Backward,

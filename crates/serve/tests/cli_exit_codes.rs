@@ -453,22 +453,31 @@ fn sigterm_drains_the_daemon_and_it_exits_zero() {
 /// from. Pinning the `meta` grammar byte-for-byte against the checked-in
 /// workspace member catches any drift between the CLI path and
 /// `rustgen` (the standalone layout differs only in file name:
-/// `src/main.rs` vs the AOT crate's `src/lib.rs`).
+/// `src/main.rs` vs the AOT crate's `src/lib.rs`). The `--opt=off` case
+/// has no checked-in crate; it must equal the freshly generated
+/// paper-faithful source.
 #[test]
 fn codegen_subcommand_emits_the_pinned_meta_evaluator() {
     let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     let grammar = manifest.join("../grammars/lg/meta.lg");
-    // Default (--opt=on) output must match the checked-in optimized AOT
-    // variant; the --opt=off ablation must match the paper-faithful one.
+    let pinned = std::fs::read_to_string(manifest.join("../engine/generated/meta_opt/src/lib.rs"))
+        .expect("checked-in AOT source");
+    let faithful = linguist_frontend::driver::analyze(
+        linguist_grammars::meta_source(),
+        &linguist_ag::analysis::Config {
+            optimize: false,
+            ..Default::default()
+        },
+    )
+    .expect("meta analyzes");
     let cases = [
-        (vec!["codegen"], "../engine/generated/meta_opt/src/lib.rs"),
+        (vec!["codegen"], pinned),
         (
             vec!["codegen", "--opt=off"],
-            "../engine/generated/meta/src/lib.rs",
+            linguist_codegen::rustgen::rust_source(&faithful),
         ),
     ];
-    for (i, (args, pinned_rel)) in cases.iter().enumerate() {
-        let pinned = manifest.join(pinned_rel);
+    for (i, (args, expected)) in cases.iter().enumerate() {
         let out_dir =
             std::env::temp_dir().join(format!("linguist-cli-codegen-{}-{}", std::process::id(), i));
         let _unused = std::fs::remove_dir_all(&out_dir);
@@ -485,25 +494,16 @@ fn codegen_subcommand_emits_the_pinned_meta_evaluator() {
             String::from_utf8_lossy(&out.stderr)
         );
         let emitted = std::fs::read_to_string(out_dir.join("src/main.rs")).expect("emitted source");
-        let expected = std::fs::read_to_string(&pinned).expect("checked-in AOT source");
         assert_eq!(
-            emitted, expected,
-            "CLI codegen output drifted from the checked-in meta evaluator \
-             (rerun `cargo run --example gen_aot` if rustgen changed)"
+            &emitted, expected,
+            "CLI codegen {:?} output drifted from the library's meta evaluator \
+             (rerun `cargo run --example gen_aot` if rustgen changed)",
+            args
         );
         // The standalone manifest must detach from the enclosing workspace
         // so the emitted crate builds with a plain `cargo build`.
         let manifest_out = std::fs::read_to_string(out_dir.join("Cargo.toml")).expect("manifest");
         assert!(manifest_out.contains("[workspace]"), "{}", manifest_out);
-        // With the optimizer on, the change-impact closures ride along
-        // as a sidecar; the ablation must not emit one.
-        let impact = out_dir.join("impact.json");
-        if args.contains(&"--opt=off") {
-            assert!(!impact.exists(), "--opt=off must not write impact.json");
-        } else {
-            let text = std::fs::read_to_string(&impact).expect("impact.json sidecar");
-            assert!(text.contains("\"production\""), "{}", text);
-        }
         let _unused = std::fs::remove_dir_all(&out_dir);
     }
 }

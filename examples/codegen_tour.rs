@@ -1,6 +1,7 @@
 //! Tour of the evaluator code generator: the p.165-style
 //! production-procedures, the per-pass size table (husk vs semantic
-//! code), and the effect of static subsumption.
+//! code), and the effect of static subsumption — all on the
+//! paper-faithful analysis (grammar optimizer off).
 //!
 //! ```sh
 //! cargo run --example codegen_tour
@@ -13,7 +14,17 @@ use linguist86::frontend::driver::{run, DriverOptions};
 use linguist86::grammars::meta_source;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let out = run(meta_source(), &DriverOptions::default())?;
+    let faithful = Config {
+        optimize: false,
+        ..Config::default()
+    };
+    let out = run(
+        meta_source(),
+        &DriverOptions {
+            config: faithful,
+            ..DriverOptions::default()
+        },
+    )?;
     let analysis = &out.analysis;
 
     // One production-procedure, as the paper prints one (p.165).
@@ -56,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &DriverOptions {
                 config: Config {
                     disable_subsumption: true,
-                    ..Config::default()
+                    ..faithful
                 },
                 target: None,
                 ..DriverOptions::default()

@@ -2,12 +2,12 @@
 //!
 //! The engine's ahead-of-time path links the five bundled grammars'
 //! generated evaluators as ordinary workspace members under
-//! `crates/engine/generated/` — each in two variants: the
-//! paper-faithful unoptimized analysis (`<name>`) and the grammar
-//! optimizer's output (`<name>_opt`, what the CLI's default `--opt=on`
-//! pipeline produces). Those sources are ordinary checked-in files;
-//! rerun this after changing `rustgen`, the optimizer, or a bundled
-//! grammar:
+//! `crates/engine/generated/<name>_opt`, each generated from the default
+//! analysis — the grammar optimizer on, as in the library and the CLI.
+//! A paper-faithful `--opt=off` analysis has no crate of its own: it
+//! misses the registry and runs on the interpreter. The sources are
+//! ordinary checked-in files; rerun this after changing `rustgen`, the
+//! optimizer, or a bundled grammar:
 //!
 //! ```text
 //! cargo run --example gen_aot
@@ -32,37 +32,27 @@ fn main() {
         ("pascal", linguist_grammars::pascal_source()),
     ];
     for (name, source) in grammars {
-        for optimized in [false, true] {
-            let out = if optimized {
-                linguist_grammars::analyze_optimized(source)
-            } else {
-                linguist_grammars::analyze(source)
-            }
+        let out = linguist_grammars::analyze(source)
             .unwrap_or_else(|e| panic!("{} failed to analyze: {:?}", name, e));
-            let dir_name = if optimized {
-                format!("{}_opt", name)
-            } else {
-                name.to_string()
-            };
-            let crate_name = format!("linguist-aot-{}", dir_name.replace('_', "-"));
-            let files = rustgen::crate_files(&out.analysis, &crate_name, false);
-            let dir = root.join(&dir_name);
-            for (rel, contents) in &files {
-                let path = dir.join(rel);
-                fs::create_dir_all(path.parent().unwrap()).unwrap();
-                fs::write(&path, contents).unwrap();
-            }
-            let src = &files
-                .iter()
-                .find(|(rel, _)| rel.ends_with("lib.rs"))
-                .unwrap()
-                .1;
-            println!(
-                "{}: {} lines, hash {}",
-                dir_name,
-                src.lines().count(),
-                rustgen::content_hash(src.as_bytes())
-            );
+        let dir_name = format!("{}_opt", name);
+        let crate_name = format!("linguist-aot-{}-opt", name);
+        let files = rustgen::crate_files(&out.analysis, &crate_name, false);
+        let dir = root.join(&dir_name);
+        for (rel, contents) in &files {
+            let path = dir.join(rel);
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            fs::write(&path, contents).unwrap();
         }
+        let src = &files
+            .iter()
+            .find(|(rel, _)| rel.ends_with("lib.rs"))
+            .unwrap()
+            .1;
+        println!(
+            "{}: {} lines, hash {}",
+            dir_name,
+            src.lines().count(),
+            rustgen::content_hash(src.as_bytes())
+        );
     }
 }

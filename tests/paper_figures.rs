@@ -10,6 +10,8 @@ use linguist86::frontend::driver::{run, DriverOptions};
 use linguist86::frontend::Translator;
 use linguist86::lexgen::ScannerDef;
 
+/// The paper-faithful configuration: the grammar optimizer off, so the
+/// figures are reproduced on the grammar as the paper analyzed it.
 fn options(first: Direction) -> DriverOptions {
     DriverOptions {
         config: Config {
@@ -17,6 +19,7 @@ fn options(first: Direction) -> DriverOptions {
                 first_direction: first,
                 max_passes: 8,
             },
+            optimize: false,
             ..Config::default()
         },
         target: None,
@@ -297,6 +300,7 @@ end
                 copy: 50,
                 save_restore: 10,
             },
+            optimize: false,
             ..Config::default()
         },
         target: None,

@@ -268,16 +268,16 @@ proptest! {
 
     /// Intermediate-file conservation: whatever pass k writes to
     /// boundary k, pass k+1 reads back in full — records and bytes —
-    /// and pass 1 reads exactly the initial file. Holds for all three
-    /// backings (disk, the owned shared-nothing memory store, and the
-    /// legacy mutex-guarded ablation) and for both bootstrap strategies
+    /// and pass 1 reads exactly the initial file. Holds for both
+    /// backings (disk and the owned shared-nothing memory store) and for
+    /// both bootstrap strategies
     /// (which exercise both traversal directions of the record format).
     #[test]
     fn pass_io_is_conserved_across_boundaries(decls in 1usize..5, depth in 1usize..4) {
         use linguist86::grammars::block_program;
         let program = block_program(decls, depth);
         for (t, strat) in block_translators() {
-            for backing in [Backing::Disk, Backing::Memory, Backing::SharedMemory] {
+            for backing in [Backing::Disk, Backing::Memory] {
                 let opts = EvalOptions {
                     strategy: *strat,
                     backing,

@@ -7,6 +7,7 @@
 //! that translator's outputs agree with the system's own analysis of the
 //! same file.
 
+use linguist86::ag::analysis::Config;
 use linguist86::eval::funcs::Funcs;
 use linguist86::eval::machine::EvalOptions;
 use linguist86::eval::value::Value;
@@ -149,8 +150,16 @@ end
 #[test]
 fn meta_grammar_exercises_static_subsumption_heavily() {
     // The meta grammar is copy-chain heavy (like the original): static
-    // subsumption must find a substantial number of subsumable copies.
-    let out = run(meta_source(), &DriverOptions::default()).unwrap();
+    // subsumption must find a substantial number of subsumable copies
+    // in the paper-faithful grammar, before the optimizer collapses any.
+    let faithful = DriverOptions {
+        config: Config {
+            optimize: false,
+            ..Config::default()
+        },
+        ..DriverOptions::default()
+    };
+    let out = run(meta_source(), &faithful).unwrap();
     let stats = out.analysis.subsumption.stats(&out.analysis.grammar);
     assert!(
         stats.subsumed_rules > 20,
