@@ -325,17 +325,18 @@ impl List {
     }
 }
 
+/// Structural equality that stops as soon as both remaining tails are the
+/// same node (the interpreter's `List::eq`).
 impl PartialEq for List {
     fn eq(&self, other: &List) -> bool {
-        let mut a = self.iter();
-        let mut b = other.iter();
+        let (mut a, mut b) = (&self.0, &other.0);
         loop {
-            match (a.next(), b.next()) {
+            match (a, b) {
                 (None, None) => return true,
-                (Some(x), Some(y)) => {
-                    if x != y {
-                        return false;
-                    }
+                (Some(x), Some(y)) if Rc::ptr_eq(x, y) => return true,
+                (Some(x), Some(y)) if x.head == y.head => {
+                    a = &x.tail.0;
+                    b = &y.tail.0;
                 }
                 _ => return false,
             }
@@ -388,6 +389,17 @@ pub fn set_difference(a: &List, b: &List) -> List {
 
 pub fn set_is_subset(a: &List, b: &List) -> bool {
     a.iter().all(|v| set_contains(b, v))
+}
+
+/// Set equality: O(1) on a shared spine, a length check before the two
+/// subset walks (sets are duplicate-free).
+pub fn set_eq(a: &List, b: &List) -> bool {
+    if let (Some(x), Some(y)) = (&a.0, &b.0) {
+        if Rc::ptr_eq(x, y) {
+            return true;
+        }
+    }
+    a.len() == b.len() && set_is_subset(a, b) && set_is_subset(b, a)
 }
 
 /// Partial function as a cons list of `(key, value)` pairs; newest binding
@@ -461,6 +473,23 @@ impl Pairs {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Pair-by-pair equality, stopping at a shared tail; equal pair lists
+    /// denote the same function.
+    pub fn same_pairs(&self, other: &Pairs) -> bool {
+        let (mut a, mut b) = (&self.0, &other.0);
+        loop {
+            match (a, b) {
+                (None, None) => return true,
+                (Some(x), Some(y)) if Rc::ptr_eq(x, y) => return true,
+                (Some(x), Some(y)) if x.key == y.key && x.val == y.val => {
+                    a = &x.tail.0;
+                    b = &y.tail.0;
+                }
+                _ => return false,
+            }
+        }
     }
 
     pub fn eval(&self, key: &Value) -> Option<&Value> {
@@ -562,8 +591,11 @@ impl PartialEq for Value {
             (Value::Sym(a), Value::Sym(b)) => a == b,
             (Value::Str(a), Value::Str(b)) => a == b,
             (Value::List(a), Value::List(b)) => a == b,
-            (Value::Set(a), Value::Set(b)) => set_is_subset(a, b) && set_is_subset(b, a),
+            (Value::Set(a), Value::Set(b)) => set_eq(a, b),
             (Value::Map(a), Value::Map(b)) => {
+                if a.same_pairs(b) {
+                    return true;
+                }
                 let da = a.domain();
                 let db = b.domain();
                 da.len() == db.len() && da.iter().all(|k| a.eval(k) == b.eval(k))

@@ -1093,8 +1093,8 @@ impl<'a> Machine<'a> {
                         .funcs_invoked
                         .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 }
-                let name = self.analysis.grammar.resolve(*func).to_owned();
-                Ok(self.funcs.call(&name, &vals)?)
+                let name = self.analysis.grammar.resolve(*func);
+                Ok(self.funcs.call(name, &vals)?)
             }
             Expr::Binop { op, lhs, rhs } => {
                 let a = self.eval_expr(lhs, state, children, limb_vals, locals)?;

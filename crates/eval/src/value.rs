@@ -319,12 +319,8 @@ impl PartialEq for Value {
             (Value::Str(a), Value::Str(b)) => a == b,
             (Value::List(a), Value::List(b)) => a == b,
             (Value::Set(a), Value::Set(b)) => a == b,
-            (Value::Map(a), Value::Map(b)) => {
-                // Extensional equality over effective bindings.
-                let da = a.domain();
-                let db = b.domain();
-                da.len() == db.len() && da.iter().all(|k| a.eval(k) == b.eval(k))
-            }
+            // Extensional over effective bindings, O(1) on a shared spine.
+            (Value::Map(a), Value::Map(b)) => a == b,
             _ => false,
         }
     }

@@ -141,6 +141,7 @@ use linguist_serve::load::{run_load, LoadConfig};
 use linguist_serve::router::{Router, RouterConfig, ShardAddr};
 use linguist_serve::server::{Server, ServerConfig};
 use linguist_support::json::Json;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -585,7 +586,7 @@ fn serve_main(args: Vec<String>) -> ExitCode {
         move || state.begin_drain()
     });
     handle.wait();
-    eprintln!("linguist serve: shut down");
+    let _unused = writeln!(std::io::stderr(), "linguist serve: shut down");
     ExitCode::SUCCESS
 }
 
@@ -601,7 +602,9 @@ fn watch_for_termination(who: &'static str, drain: impl FnOnce() + Send + 'stati
             while !linguist_serve::signal::termination_requested() {
                 std::thread::sleep(Duration::from_millis(50));
             }
-            eprintln!("{}: termination signal, draining", who);
+            // `eprintln!` panics when stderr is closed, which would kill
+            // this thread before the drain starts; a lost log line is not.
+            let _unused = writeln!(std::io::stderr(), "{}: termination signal, draining", who);
             drain();
         })
         .expect("spawn signal watcher");
@@ -685,7 +688,7 @@ fn router_main(args: Vec<String>) -> ExitCode {
         move || state.begin_drain()
     });
     handle.wait();
-    eprintln!("linguist router: shut down");
+    let _unused = writeln!(std::io::stderr(), "linguist router: shut down");
     ExitCode::SUCCESS
 }
 

@@ -486,10 +486,7 @@ impl Router {
             ));
         }
         let unix_listener = match &cfg.unix_path {
-            Some(path) => {
-                let _unused = std::fs::remove_file(path);
-                Some(UnixListener::bind(path)?)
-            }
+            Some(path) => Some(crate::server::bind_unix(path)?),
             None => None,
         };
         let tcp_listener = match &cfg.tcp_addr {

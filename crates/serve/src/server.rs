@@ -38,7 +38,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -169,12 +169,7 @@ impl Server {
             ));
         }
         let unix_listener = match &cfg.unix_path {
-            Some(path) => {
-                // A dead daemon leaves its socket file behind; binding
-                // over it is the expected restart path.
-                let _unused = std::fs::remove_file(path);
-                Some(UnixListener::bind(path)?)
-            }
+            Some(path) => Some(bind_unix(path)?),
             None => None,
         };
         let tcp_listener = match &cfg.tcp_addr {
@@ -279,6 +274,27 @@ impl Drop for ServerHandle {
             let _stats = self.join_and_drain();
         }
     }
+}
+
+/// Bind a listening Unix socket at `path` such that the path appears only
+/// once the socket is listening: bind at a temporary name in the same
+/// directory, then rename it into place. A client that polls for the path
+/// can connect as soon as it sees it. The rename also replaces the socket
+/// file a dead daemon left behind, the expected restart path.
+pub(crate) fn bind_unix(path: &Path) -> std::io::Result<UnixListener> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let tmp = path.with_file_name(format!(
+        ".{}.{}.bind",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _unused = std::fs::remove_file(&tmp);
+    let listener = UnixListener::bind(&tmp)?;
+    if let Err(e) = std::fs::rename(&tmp, path) {
+        let _unused = std::fs::remove_file(&tmp);
+        return Err(e);
+    }
+    Ok(listener)
 }
 
 /// Flip the shutdown flag and poke every listener awake so its

@@ -126,14 +126,22 @@ impl<T> Default for List<T> {
     }
 }
 
+/// Structural equality that stops at shared structure: the walk returns
+/// `true` as soon as both remaining tails are the same node, so two lists
+/// that share a spine compare in O(1) and lists that share a suffix only
+/// compare their distinct prefixes.
 impl<T: PartialEq> PartialEq for List<T> {
     fn eq(&self, other: &List<T>) -> bool {
-        let mut a = self.iter();
-        let mut b = other.iter();
+        let (mut a, mut b) = (self, other);
         loop {
-            match (a.next(), b.next()) {
-                (None, None) => return true,
-                (Some(x), Some(y)) if x == y => continue,
+            if a.same_spine(b) {
+                return true;
+            }
+            match (a.node.as_deref(), b.node.as_deref()) {
+                (Some(x), Some(y)) if x.head == y.head => {
+                    a = &x.tail;
+                    b = &y.tail;
+                }
                 _ => return false,
             }
         }
@@ -226,6 +234,25 @@ mod tests {
         let c: List<i32> = [1, 2].into_iter().collect();
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn shared_spines_are_equal() {
+        let a: List<i32> = [1, 2, 3].into_iter().collect();
+        let b = a.clone();
+        assert!(a.same_spine(&b));
+        assert_eq!(a, b);
+        assert_eq!(List::<i32>::nil(), List::nil());
+    }
+
+    #[test]
+    fn shared_tail_under_different_heads_is_unequal() {
+        let tail: List<i32> = [7, 8, 9].into_iter().collect();
+        let a = tail.cons(2).cons(1);
+        let b = tail.cons(3).cons(1);
+        assert_ne!(a, b);
+        // Equal heads over a shared tail are equal without walking it.
+        assert_eq!(tail.cons(2).cons(1), a);
     }
 
     #[test]

@@ -85,6 +85,22 @@ impl<K: PartialEq + Clone, V: Clone> Default for PartialFn<K, V> {
     }
 }
 
+/// Extensional equality: two partial functions are equal when they have
+/// the same domain and agree at every key, whatever their binding order
+/// or shadowed pairs. Identical association lists denote the same
+/// function, so the list comparison runs first — O(1) when both sides
+/// share a spine — and only lists that differ pay the O(n²) walk over the
+/// domain.
+impl<K: PartialEq + Clone, V: PartialEq + Clone> PartialEq for PartialFn<K, V> {
+    fn eq(&self, other: &PartialFn<K, V>) -> bool {
+        if self.pairs == other.pairs {
+            return true;
+        }
+        let da = self.domain();
+        da.len() == other.domain_len() && da.iter().all(|k| self.eval(k) == other.eval(k))
+    }
+}
+
 impl<K: fmt::Debug, V: fmt::Debug> fmt::Debug for PartialFn<K, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map()
@@ -127,6 +143,18 @@ mod tests {
         let mut d = f.domain();
         d.sort();
         assert_eq!(d, vec!["a", "b"]);
+    }
+
+    #[test]
+    fn equality_is_extensional() {
+        let f = PartialFn::empty().bind("a", 1).bind("b", 2);
+        assert_eq!(f, f.clone());
+        // Same function up to binding order and a shadowed pair.
+        let g = PartialFn::empty().bind("b", 2).bind("a", 9).bind("a", 1);
+        assert_eq!(f, g);
+        assert_ne!(f, g.bind("a", 3));
+        assert_ne!(f, f.bind("c", 3));
+        assert_ne!(f.bind("c", 3), f);
     }
 
     #[test]

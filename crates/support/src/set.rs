@@ -11,9 +11,12 @@ use std::fmt;
 
 /// A persistent set represented as a duplicate-free cons list.
 ///
-/// Operations are O(n)/O(n²) like the original linked-list representation —
-/// these sets are small (attribute-occurrence sets, function sets) and the
-/// point is fidelity to the evaluation model, not asymptotics.
+/// Membership and the set operations are O(n)/O(n²) like the original
+/// linked-list representation — these sets are small (attribute-occurrence
+/// sets, function sets) and the point is fidelity to the evaluation model,
+/// not asymptotics. Equality is the exception: it is O(1) on a shared
+/// spine and O(n) on a length mismatch, and only walks both sets when
+/// neither shortcut decides.
 ///
 /// # Example
 ///
@@ -114,9 +117,16 @@ impl<T: PartialEq + Clone> Default for LSet<T> {
     }
 }
 
+/// Order-insensitive equality. A shared spine is equal in O(1); sets are
+/// duplicate-free by construction, so different lengths are unequal in
+/// O(n); only same-length sets on distinct spines pay the O(n²) mutual
+/// subset check.
 impl<T: PartialEq + Clone> PartialEq for LSet<T> {
     fn eq(&self, other: &LSet<T>) -> bool {
-        self.is_subset(other) && other.is_subset(self)
+        if self.items.same_spine(&other.items) {
+            return true;
+        }
+        self.len() == other.len() && self.is_subset(other) && other.is_subset(self)
     }
 }
 
@@ -171,6 +181,22 @@ mod tests {
         let a: LSet<i32> = [1, 2, 3].into_iter().collect();
         let b: LSet<i32> = [3, 1, 2].into_iter().collect();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn shared_spines_are_equal() {
+        let a: LSet<i32> = [1, 2, 3].into_iter().collect();
+        assert_eq!(a, a.clone());
+        assert_eq!(a, a.with(2));
+    }
+
+    #[test]
+    fn different_lengths_are_unequal() {
+        let a: LSet<i32> = [1, 2, 3].into_iter().collect();
+        let b: LSet<i32> = [1, 2].into_iter().collect();
+        assert_ne!(a, b);
+        assert_ne!(b, a);
+        assert_ne!(LSet::empty(), b);
     }
 
     #[test]
