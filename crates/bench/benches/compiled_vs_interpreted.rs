@@ -8,12 +8,14 @@
 //!
 //! * `interpreted` — the in-process multi-pass interpreter exactly as
 //!   a warm daemon job runs it (memory backing, profile on);
+//! * `file_interpreted` — the same interpreter with pass files on disk,
+//!   the paper-faithful default;
 //! * `aot` — the checked-in generated evaluator, resolved by content
-//!   hash and called in-process through the engine;
-//! * `jit` — the same generated source compiled on demand by `rustc`
-//!   into the content-hash cache, then run as a subprocess speaking
-//!   APT framing (spawn + framing cost is *included*: that is the
-//!   price of the out-of-process ladder rung). Skipped without rustc.
+//!   hash and called in-process through the engine.
+//!
+//! (An on-demand `rustc` tier once had a column here; it ran at
+//! 0.03–0.50× the interpreter because every run spawned a process, and
+//! it was deleted.)
 //!
 //! Every compiled run is checked against the interpreter's outputs
 //! before timing starts, so the snapshot can't report speedups for an
@@ -57,16 +59,7 @@ fn main() {
     let funcs = Funcs::standard();
     let aot = Engine::new(EngineConfig {
         kind: EngineKind::CompiledAot,
-        ..EngineConfig::default()
     });
-    let jit_engine = Engine::new(EngineConfig {
-        kind: EngineKind::CompiledJit,
-        ..EngineConfig::default()
-    });
-    let have_rustc = linguist_engine::jit::rustc_available();
-    if !have_rustc {
-        println!("  (rustc not on PATH: JIT column will be null)");
-    }
     let mut rows = Vec::new();
     for (name, source, budget) in grammars {
         let out = linguist_grammars::analyze(source)
@@ -121,18 +114,10 @@ fn main() {
             let o = aot.evaluate(&prepared_aot, analysis, &funcs, &tree, &opts);
             assert!(o.fallback.is_none() && o.result.is_ok());
         });
-        let jit_us = have_rustc.then(|| {
-            let prepared = jit_engine.prepare(analysis);
-            assert_eq!(prepared.effective(), EngineKind::CompiledJit, "{}", name);
-            time_us(|| {
-                let o = jit_engine.evaluate(&prepared, analysis, &funcs, &tree, &opts);
-                assert!(o.fallback.is_none() && o.result.is_ok());
-            })
-        });
 
         let speedup = interpreted_us / aot_us;
         println!(
-            "  {:<7} {:>4} nodes  mem-interp {:>8.1}µs  file-interp {:>9.1}µs  aot {:>7.1}µs ({:>4.1}× mem, {:>5.1}× file)  jit {}",
+            "  {:<7} {:>4} nodes  mem-interp {:>8.1}µs  file-interp {:>9.1}µs  aot {:>7.1}µs ({:>4.1}× mem, {:>5.1}× file)",
             name,
             tree.size(),
             interpreted_us,
@@ -140,15 +125,11 @@ fn main() {
             aot_us,
             speedup,
             file_us / aot_us,
-            match jit_us {
-                Some(us) => format!("{:>8.1}µs ({:>5.2}×)", us, interpreted_us / us),
-                None => "skipped".to_string(),
-            }
         );
         let mut row = String::new();
         let _ = write!(
             row,
-            "{{\"grammar\":\"{}\",\"nodes\":{},\"interpreted_us\":{:.2},\"file_interpreted_us\":{:.2},\"aot_us\":{:.2},\"aot_speedup\":{:.2},\"aot_speedup_vs_files\":{:.2},",
+            "{{\"grammar\":\"{}\",\"nodes\":{},\"interpreted_us\":{:.2},\"file_interpreted_us\":{:.2},\"aot_us\":{:.2},\"aot_speedup\":{:.2},\"aot_speedup_vs_files\":{:.2}}}",
             name,
             tree.size(),
             interpreted_us,
@@ -157,17 +138,6 @@ fn main() {
             speedup,
             file_us / aot_us
         );
-        match jit_us {
-            Some(us) => {
-                let _ = write!(
-                    row,
-                    "\"jit_us\":{:.2},\"jit_speedup\":{:.2}}}",
-                    us,
-                    interpreted_us / us
-                );
-            }
-            None => row.push_str("\"jit_us\":null,\"jit_speedup\":null}"),
-        }
         rows.push((row, speedup, file_us / aot_us));
     }
     let geomean = (rows.iter().map(|(_, s, _)| s.ln()).sum::<f64>() / rows.len() as f64).exp();
@@ -182,8 +152,7 @@ fn main() {
          \"aot_speedup_vs_files_geomean\":{:.2},\
          \"note\":\"single-core CI box; serve-shaped warm jobs (profile on); interpreted_us is \
          the serve tier's memory-backed fast path, file_interpreted_us the paper-faithful \
-         disk-backed default; aot_us includes per-job APT framing and output decode at the ABI \
-         boundary; jit_us additionally includes per-run subprocess spawn\",\"rows\":[{}]}}",
+         disk-backed default; aot_us includes per-job APT framing at the ABI boundary\",\"rows\":[{}]}}",
         BUDGET,
         ITERS,
         geomean,

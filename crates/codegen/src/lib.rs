@@ -38,7 +38,6 @@
 
 pub mod emit;
 pub mod names;
-pub mod rt;
 pub mod rustgen;
 
 pub use emit::{emit_dispatcher, emit_procedure, LineKind, ProcSource, Target};

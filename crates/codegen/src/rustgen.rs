@@ -1,39 +1,39 @@
 //! Compilable-Rust evaluator generation.
 //!
 //! Where [`crate::emit`] renders the paper's *code-size* tables (Pascal-ish
-//! text that is measured, not run), this module emits a **complete,
-//! self-contained Rust program** for one analyzed grammar: the per-pass
-//! production-procedures compiled from the same [`ProcPlan`]s the
-//! interpreter executes, a baked-in copy of the [`rt`](crate::rt) runtime
-//! (APT framing, values, the standard function library), and a `main` that
-//! speaks the APT subprocess protocol (boundary-0 file on stdin, encoded
-//! root outputs on stdout).
+//! text that is measured, not run), this module emits a **complete Rust
+//! evaluator** for one analyzed grammar: the per-pass production
+//! procedures compiled from the same [`ProcPlan`]s the interpreter
+//! executes, and a `main` that reads a boundary-0 APT file on stdin and
+//! writes the encoded root outputs on stdout.
 //!
-//! The generated source has no dependencies, so it can be built three
-//! ways: checked in as an ordinary workspace member (the engine's AOT
-//! path), compiled on demand with a bare `rustc` invocation (the JIT
-//! path), or written to disk as a standalone crate (`linguist codegen`).
+//! Plans are the common IR and `linguist-eval` is the only runtime: the
+//! generated code links it for values, APT framing, the standard
+//! functions (each call site resolved at generation time to its entry in
+//! [`BUILTINS`](linguist_eval::funcs::BUILTINS)) and the infix operators.
+//! The source is built two ways: checked in as a workspace member (the
+//! engine's AOT path), or written out as a standalone crate by
+//! `linguist codegen`, whose manifest names `linguist-eval` by the path
+//! of the source tree this crate was built from.
 //!
 //! Byte-compatibility with the interpreter is the contract: for every
-//! valid input the compiled evaluator must produce exactly the bytes of
-//! `differential::encoded_outputs` on the interpreter's result. The
-//! generation therefore mirrors `eval::machine` step for step — slot
-//! frames instead of hash maps, `let`-bound locals instead of the locals
-//! map, but the same visit order, the same record filters (alive-across ∩
-//! present, sorted by attribute id), and the same operator semantics.
+//! valid input the compiled evaluator must produce exactly the outputs of
+//! the interpreter. The generation therefore mirrors `eval::machine` step
+//! for step — slot frames instead of hash maps, `let`-bound locals
+//! instead of the locals map, but the same visit order, the same record
+//! filters (alive-across ∩ present, sorted by attribute id), and the same
+//! operator semantics.
+//!
+//! [`ProcPlan`]: linguist_ag::plan::ProcPlan
 
 use linguist_ag::analysis::Analysis;
-use linguist_ag::expr::{BinOp, Expr};
+use linguist_ag::expr::Expr;
 use linguist_ag::grammar::{AttrClass, Grammar};
 use linguist_ag::ids::{AttrId, AttrOcc, OccPos, ProdId, SymbolId};
 use linguist_ag::passes::Direction;
 use linguist_ag::plan::Step;
-use std::fmt::Write as _;
-
-/// The runtime prelude embedded verbatim in every generated evaluator
-/// (same text that `crate::rt` compiles as part of this crate, so its
-/// semantics are unit-testable without invoking `rustc`).
-pub const RT_SOURCE: &str = include_str!("rt.rs");
+use linguist_eval::funcs::{builtin_index, BUILTINS};
+use std::path::Path;
 
 /// FNV-1a 64-bit content hash, rendered as 16 hex digits — the key the
 /// engine uses to match grammars to compiled artifacts (same function,
@@ -46,33 +46,41 @@ pub fn content_hash(bytes: &[u8]) -> String {
 /// Files of a generated evaluator crate: `(relative path, contents)`.
 ///
 /// With `standalone_bin` the crate is written for out-of-tree use: a
-/// `[workspace]` table detaches it from any enclosing workspace and the
-/// source becomes `src/main.rs` (buildable with a plain `cargo build`).
-/// Without it the layout is a dependency-free library suitable for
-/// checking in as a workspace member (the AOT path).
+/// `[workspace]` table detaches it from any enclosing workspace, the
+/// source becomes `src/main.rs`, and `linguist-eval` is named by the
+/// absolute path of the source tree this crate was built from. Without
+/// it the layout is a library suitable for checking in as a workspace
+/// member (the AOT path), depending on the workspace's `linguist-eval`.
 pub fn crate_files(
     analysis: &Analysis,
     crate_name: &str,
     standalone_bin: bool,
 ) -> Vec<(String, String)> {
-    let source = rust_source(analysis);
-    let mut manifest = String::new();
-    let _ = writeln!(manifest, "[package]");
-    let _ = writeln!(manifest, "name = \"{}\"", crate_name);
-    let _ = writeln!(manifest, "version = \"0.1.0\"");
-    let _ = writeln!(manifest, "edition = \"2021\"");
-    if standalone_bin {
-        manifest.push('\n');
-        let _ = writeln!(manifest, "[workspace]");
-    }
-    let src_path = if standalone_bin {
-        "src/main.rs"
+    let (dependency, workspace, src_path) = if standalone_bin {
+        let eval = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .parent()
+            .expect("crates/codegen has a parent")
+            .join("eval");
+        let dependency = format!(
+            "linguist-eval = {{ path = {:?} }}",
+            eval.display().to_string()
+        );
+        (dependency, "\n[workspace]\n", "src/main.rs")
     } else {
-        "src/lib.rs"
+        (
+            "linguist-eval.workspace = true".to_string(),
+            "",
+            "src/lib.rs",
+        )
     };
+    let manifest = format!(
+        "[package]\nname = \"{}\"\nversion = \"0.1.0\"\nedition = \"2021\"\n\n\
+         [dependencies]\n{}\n{}",
+        crate_name, dependency, workspace
+    );
     vec![
         ("Cargo.toml".to_string(), manifest),
-        (src_path.to_string(), source),
+        (src_path.to_string(), rust_source(analysis)),
     ]
 }
 
@@ -84,12 +92,12 @@ pub fn rust_source(analysis: &Analysis) -> String {
     Gen::new(analysis).render()
 }
 
-/// Dense slot index of every attribute within its owner symbol.
-fn attr_slots(g: &Grammar) -> Vec<usize> {
-    let mut slots = vec![0usize; g.attrs().len()];
-    for sym in g.symbols() {
+/// `(owner symbol, dense slot index within it)` of every attribute.
+fn attr_slots(g: &Grammar) -> Vec<(u32, usize)> {
+    let mut slots = vec![(0u32, 0usize); g.attrs().len()];
+    for (si, sym) in g.symbols().iter().enumerate() {
         for (i, &a) in sym.attrs.iter().enumerate() {
-            slots[a.0 as usize] = i;
+            slots[a.0 as usize] = (si as u32, i);
         }
     }
     slots
@@ -97,7 +105,7 @@ fn attr_slots(g: &Grammar) -> Vec<usize> {
 
 struct Gen<'a> {
     analysis: &'a Analysis,
-    slots: Vec<usize>,
+    slots: Vec<(u32, usize)>,
     out: String,
 }
 
@@ -127,7 +135,7 @@ impl<'a> Gen<'a> {
     }
 
     fn slot(&self, a: AttrId) -> usize {
-        self.slots[a.0 as usize]
+        self.slots[a.0 as usize].1
     }
 
     /// `(attr, slot)` pairs of `sym`'s attributes alive across boundary
@@ -184,9 +192,16 @@ impl<'a> Gen<'a> {
         );
         self.ln(0, "#![allow(warnings, clippy::all)]");
         self.ln(0, "");
-        self.ln(0, "pub mod rt {");
-        self.out.push_str(RT_SOURCE);
-        self.ln(0, "}");
+        self.ln(
+            0,
+            "use linguist_eval::compiled::{collect_alive, fill_slots, AttrId, BinOp, Name, ProdId, SymbolId};",
+        );
+        self.ln(0, "use linguist_eval::funcs::{FuncError, BUILTINS};");
+        self.ln(
+            0,
+            "use linguist_eval::{apply_binop, AptReader, AptWriter, EvalError, ReadDir, Record, RecordBody, Value};",
+        );
+        self.ln(0, "use std::sync::Arc;");
         self.ln(0, "");
         self.emit_consts();
         for k in 1..=n {
@@ -216,11 +231,18 @@ impl<'a> Gen<'a> {
             &format!("pub const OUTPUT_COUNT: usize = {};", outputs.len()),
         );
         self.ln(0, "");
-        // Attribute → slot within its owner symbol.
-        let rows: Vec<String> = self.slots.iter().map(|s| s.to_string()).collect();
+        // Attribute → (owner symbol, slot within it).
+        let rows: Vec<String> = self
+            .slots
+            .iter()
+            .map(|(sym, slot)| format!("({}, {})", sym, slot))
+            .collect();
         self.ln(
             0,
-            &format!("static ATTR_SLOT: &[usize] = &[{}];", rows.join(", ")),
+            &format!(
+                "static ATTR_SLOT: &[(u32, usize)] = &[{}];",
+                rows.join(", ")
+            ),
         );
         self.ln(0, "");
         // Alive-across tables per (symbol, boundary).
@@ -263,32 +285,36 @@ impl<'a> Gen<'a> {
     fn emit_visit(&mut self, k: u16) {
         let g = self.g();
         self.ln(0, &format!(
-            "fn visit_p{}(sym: u32, state: &mut Vec<Option<rt::Value>>, r: &mut rt::Reader<'_>, w: &mut rt::Writer) -> Result<(), String> {{",
+            "fn visit_p{}(sym: u32, state: &mut Vec<Option<Value>>, r: &mut AptReader, w: &mut AptWriter) -> Result<(), EvalError> {{",
             k
         ));
         self.ln(1, "let prec = match r.next()? {");
-        self.ln(2, "Some(b) => rt::Record::decode(b)?,");
+        self.ln(2, "Some(rec) => rec,");
         self.ln(
             2,
-            "None => return Err(\"APT stream corrupt: APT file ended inside a visit\".to_string()),",
+            "None => return Err(EvalError::Corrupt(\"APT file ended inside a visit\".to_string())),",
         );
         self.ln(1, "};");
-        self.ln(1, "if !prec.is_prod {");
+        self.ln(1, "let p = match prec.body {");
+        self.ln(2, "RecordBody::Prod(p) => p.0,");
         self.ln(
             2,
-            "return Err(format!(\"APT stream corrupt: expected a production record, found symbol {}\", prec.id));",
+            "RecordBody::Sym(s) => return Err(EvalError::Corrupt(format!(\"expected a production record, found symbol {}\", s.0))),",
         );
-        self.ln(1, "}");
-        self.ln(1, "match prec.id {");
+        self.ln(1, "};");
+        self.ln(1, "match p {");
         for pi in 0..g.productions().len() {
             self.ln(
                 2,
-                &format!("{}u32 => prod_p{}_{}(sym, prec, state, r, w),", pi, k, pi),
+                &format!(
+                    "{}u32 => prod_p{}_{}(sym, prec.values, state, r, w),",
+                    pi, k, pi
+                ),
             );
         }
         self.ln(
             2,
-            "p => Err(format!(\"APT stream corrupt: production {} does not exist\", p)),",
+            "p => Err(EvalError::Corrupt(format!(\"production {} does not exist\", p))),",
         );
         self.ln(1, "}");
         self.ln(0, "}");
@@ -317,14 +343,14 @@ impl<'a> Gen<'a> {
             ),
         );
         self.ln(0, &format!(
-            "fn prod_p{}_{}(sym: u32, prec: rt::Record, state: &mut Vec<Option<rt::Value>>, r: &mut rt::Reader<'_>, w: &mut rt::Writer) -> Result<(), String> {{",
+            "fn prod_p{}_{}(sym: u32, values: Vec<(AttrId, Value)>, state: &mut Vec<Option<Value>>, r: &mut AptReader, w: &mut AptWriter) -> Result<(), EvalError> {{",
             k, p.0
         ));
         self.ln(1, &format!("if sym != {}u32 {{", lhs.0));
         self.ln(
             2,
             &format!(
-                "return Err(format!(\"APT stream corrupt: production {} does not derive symbol {{}}\", sym));",
+                "return Err(EvalError::Corrupt(format!(\"production {} does not derive symbol {{}}\", sym)));",
                 p.0
             ),
         );
@@ -333,18 +359,21 @@ impl<'a> Gen<'a> {
             self.ln(
                 1,
                 &format!(
-                    "let mut limb: Vec<Option<rt::Value>> = vec![None; {}];",
+                    "let mut limb: Vec<Option<Value>> = vec![None; {}];",
                     self.nslots(ls)
                 ),
             );
-            self.ln(1, "rt::fill_slots(&mut limb, prec.values, ATTR_SLOT);");
+            self.ln(
+                1,
+                &format!("fill_slots(&mut limb, {}, values, ATTR_SLOT);", ls.0),
+            );
         } else {
-            self.ln(1, "let _ = prec.values;");
+            self.ln(1, "let _ = values;");
         }
         for i in 0..rhs.len() {
             self.ln(
                 1,
-                &format!("let mut c{}: Option<Vec<Option<rt::Value>>> = None;", i),
+                &format!("let mut c{}: Option<Vec<Option<Value>>> = None;", i),
             );
         }
         let mut frame = Frame {
@@ -367,11 +396,11 @@ impl<'a> Gen<'a> {
         for (occ, var) in &locals {
             match occ.pos {
                 OccPos::Lhs => {
-                    let line = format!("state[{}] = Some({}.clone());", self.slot(occ.attr), var);
+                    let line = format!("state[{}] = Some({});", self.slot(occ.attr), var);
                     frame.line(&line);
                 }
                 OccPos::Limb => {
-                    let line = format!("limb[{}] = Some({}.clone());", self.slot(occ.attr), var);
+                    let line = format!("limb[{}] = Some({});", self.slot(occ.attr), var);
                     frame.line(&line);
                 }
                 OccPos::Rhs(_) => {}
@@ -379,11 +408,11 @@ impl<'a> Gen<'a> {
         }
         // Production record for the next pass: limb values alive across k.
         let values = match limb {
-            Some(ls) => format!("rt::collect_alive(&limb, ALIVE_S{}_P{})", ls.0, k),
+            Some(ls) => format!("collect_alive(&limb, ALIVE_S{}_P{})", ls.0, k),
             None => "Vec::new()".to_string(),
         };
         frame.line(&format!(
-            "w.write(&rt::Record {{ is_prod: true, id: {}u32, values: {} }}.encode());",
+            "w.write(&Record {{ body: RecordBody::Prod(ProdId({})), values: {} }})?;",
             p.0, values
         ));
         frame.line("Ok(())");
@@ -407,25 +436,31 @@ impl<'a> Gen<'a> {
         }
         frame.line("let crec = match r.next()? {");
         frame.indent += 1;
-        frame.line("Some(b) => rt::Record::decode(b)?,");
+        frame.line("Some(rec) => rec,");
         frame.line(
-            "None => return Err(\"APT stream corrupt: APT file ended before child record\".to_string()),",
+            "None => return Err(EvalError::Corrupt(\"APT file ended before child record\".to_string())),",
         );
         frame.indent -= 1;
         frame.line("};");
-        frame.line(&format!("if crec.is_prod || crec.id != {}u32 {{", child.0));
+        frame.line(&format!(
+            "if crec.body != RecordBody::Sym(SymbolId({})) {{",
+            child.0
+        ));
         frame.indent += 1;
         frame.line(&format!(
-            "return Err(format!(\"APT stream corrupt: child {} of production {}: expected symbol {}, found record {{}}\", crec.id));",
+            "return Err(EvalError::Corrupt(format!(\"child {} of production {}: expected symbol {}, found {{:?}}\", crec.body)));",
             i, p.0, child.0
         ));
         frame.indent -= 1;
         frame.line("}");
         frame.line(&format!(
-            "let mut cs: Vec<Option<rt::Value>> = vec![None; {}];",
+            "let mut cs: Vec<Option<Value>> = vec![None; {}];",
             self.nslots(child)
         ));
-        frame.line("rt::fill_slots(&mut cs, crec.values, ATTR_SLOT);");
+        frame.line(&format!(
+            "fill_slots(&mut cs, {}, crec.values, ATTR_SLOT);",
+            child.0
+        ));
         frame.line(&format!("c{} = Some(cs);", i));
     }
 
@@ -444,7 +479,7 @@ impl<'a> Gen<'a> {
         frame.indent += 1;
         frame.line("Some(cs) => cs,");
         frame.line(&format!(
-            "None => return Err(\"missing attribute instance: child {} state\".to_string()),",
+            "None => return Err(EvalError::Missing(\"child {} state\".to_string())),",
             i
         ));
         frame.indent -= 1;
@@ -467,7 +502,7 @@ impl<'a> Gen<'a> {
             frame.line("let _ = cs;");
         } else {
             frame.line(&format!(
-                "w.write(&rt::Record {{ is_prod: false, id: {}u32, values: rt::collect_alive(cs, ALIVE_S{}_P{}) }}.encode());",
+                "w.write(&Record {{ body: RecordBody::Sym(SymbolId({})), values: collect_alive(cs, ALIVE_S{}_P{}) }})?;",
                 child.0, child.0, k
             ));
         }
@@ -493,12 +528,10 @@ impl<'a> Gen<'a> {
                     let c = self.compile_expr(frame, cond);
                     frame.line(&format!("match {} {{", c));
                     frame.indent += 1;
-                    frame.line("rt::Value::Bool(true) => {");
+                    frame.line("Value::Bool(true) => {");
                     frame.indent += 1;
                     if arm.len() != width {
-                        frame.line(
-                            "return Err(\"APT stream corrupt: arm width does not match target count\".to_string());",
-                        );
+                        frame.line(&format!("return Err({});", ARM_WIDTH));
                     } else {
                         let mut vals = Vec::new();
                         for e in arm {
@@ -508,20 +541,16 @@ impl<'a> Gen<'a> {
                     }
                     frame.indent -= 1;
                     frame.line("}");
-                    frame.line("rt::Value::Bool(false) => {}");
-                    frame.line(
-                        "v => return Err(format!(\"if expects bool, got {}\", v.type_name())),",
-                    );
+                    frame.line("Value::Bool(false) => {}");
+                    frame.line(&format!("v => return Err({}),", IF_TYPE));
                     frame.indent -= 1;
                     frame.line("}");
                 }
                 if otherwise.len() != width {
-                    frame.line(
-                        "return Err(\"APT stream corrupt: arm width does not match target count\".to_string());",
-                    );
+                    frame.line(&format!("return Err({});", ARM_WIDTH));
                     frame.line("#[allow(unreachable_code)]");
                     let unit = (0..width)
-                        .map(|_| "rt::Value::Bool(false)".to_string())
+                        .map(|_| "Value::Bool(false)".to_string())
                         .collect::<Vec<_>>();
                     frame.line(&format!("({})", unit.join(", ")));
                 } else {
@@ -565,40 +594,43 @@ impl<'a> Gen<'a> {
     fn compile_expr(&mut self, frame: &mut Frame, e: &Expr) -> String {
         match e {
             Expr::Occ(occ) => self.resolve_occ(frame, occ),
-            Expr::Int(i) => format!("rt::Value::Int({}i64)", i),
-            Expr::Bool(b) => format!("rt::Value::Bool({})", b),
-            Expr::Str(s) => format!("rt::Value::str({:?})", s),
-            Expr::Const(n) => format!("rt::Value::Sym({}u32)", n.index()),
+            Expr::Int(i) => format!("Value::Int({}i64)", i),
+            Expr::Bool(b) => format!("Value::Bool({})", b),
+            Expr::Str(s) => format!("Value::str({:?})", s),
+            Expr::Const(n) => format!("Value::Sym(Name::from_index({}))", n.index()),
             Expr::Call { func, args } => {
-                let name = self.g().resolve(*func).to_ascii_lowercase();
+                let name = self.g().resolve(*func);
                 let mut vals = Vec::new();
                 for a in args {
                     vals.push(self.compile_expr(frame, a));
                 }
                 let t = frame.fresh();
-                frame.line(&format!(
-                    "let {} = rt::call_func({:?}, &[{}])?;",
-                    t,
-                    name,
-                    vals.join(", ")
-                ));
+                match builtin_index(name) {
+                    Some(i) => frame.line(&format!(
+                        "let {} = (BUILTINS[{}].1)(&[{}])?; // {}",
+                        t,
+                        i,
+                        vals.join(", "),
+                        BUILTINS[i].0
+                    )),
+                    // Not a standard function: the interpreter fails the
+                    // call once its arguments are evaluated, and so does
+                    // the compiled evaluator (the engine then falls back).
+                    None => frame.line(&format!(
+                        "let {}: Value = return Err(EvalError::Func(FuncError::Unknown {{ name: {:?}.to_string() }}));",
+                        t, name
+                    )),
+                }
                 t
             }
             Expr::Binop { op, lhs, rhs } => {
                 let a = self.compile_expr(frame, lhs);
                 let b = self.compile_expr(frame, rhs);
-                let f = match op {
-                    BinOp::Add => "bin_add",
-                    BinOp::Sub => "bin_sub",
-                    BinOp::And => "bin_and",
-                    BinOp::Or => "bin_or",
-                    BinOp::Eq => "bin_eq",
-                    BinOp::Ne => "bin_ne",
-                    BinOp::Gt => "bin_gt",
-                    BinOp::Lt => "bin_lt",
-                };
                 let t = frame.fresh();
-                frame.line(&format!("let {} = rt::{}({}, {})?;", t, f, a, b));
+                frame.line(&format!(
+                    "let {} = apply_binop(BinOp::{:?}, {}, {})?;",
+                    t, op, a, b
+                ));
                 t
             }
             Expr::If {
@@ -616,22 +648,18 @@ impl<'a> Gen<'a> {
                     let c = self.compile_expr(frame, cond);
                     frame.line(&format!("match {} {{", c));
                     frame.indent += 1;
-                    frame.line("rt::Value::Bool(true) => {");
+                    frame.line("Value::Bool(true) => {");
                     frame.indent += 1;
                     if arm.len() == 1 {
                         let v = self.compile_expr(frame, &arm[0]);
                         frame.line(&format!("break {} {};", label, v));
                     } else {
-                        frame.line(
-                            "return Err(\"APT stream corrupt: multi-expression arm outside a multi-target rule\".to_string());",
-                        );
+                        frame.line(&format!("return Err({});", MULTI_ARM));
                     }
                     frame.indent -= 1;
                     frame.line("}");
-                    frame.line("rt::Value::Bool(false) => {}");
-                    frame.line(
-                        "v => return Err(format!(\"if expects bool, got {}\", v.type_name())),",
-                    );
+                    frame.line("Value::Bool(false) => {}");
+                    frame.line(&format!("v => return Err({}),", IF_TYPE));
                     frame.indent -= 1;
                     frame.line("}");
                 }
@@ -639,9 +667,7 @@ impl<'a> Gen<'a> {
                     let v = self.compile_expr(frame, &otherwise[0]);
                     frame.line(&v);
                 } else {
-                    frame.line(
-                        "return Err(\"APT stream corrupt: multi-expression arm outside a multi-target rule\".to_string());",
-                    );
+                    frame.line(&format!("return Err({});", MULTI_ARM));
                 }
                 frame.indent -= 1;
                 frame.line("};");
@@ -658,10 +684,7 @@ impl<'a> Gen<'a> {
         }
         let g = self.g();
         let name = g.resolve(g.attr(occ.attr).name).to_string();
-        let missing = format!(
-            "missing attribute instance: {} at {} (pass {})",
-            name, occ.pos, frame.pass
-        );
+        let missing = format!("{} at {} (pass {})", name, occ.pos, frame.pass);
         let slot = self.slot(occ.attr);
         let t = frame.fresh();
         let source = match occ.pos {
@@ -672,7 +695,10 @@ impl<'a> Gen<'a> {
         frame.line(&format!("let {} = match {} {{", t, source));
         frame.indent += 1;
         frame.line("Some(v) => v.clone(),");
-        frame.line(&format!("None => return Err({:?}.to_string()),", missing));
+        frame.line(&format!(
+            "None => return Err(EvalError::Missing({:?}.to_string())),",
+            missing
+        ));
         frame.indent -= 1;
         frame.line("};");
         t
@@ -681,58 +707,74 @@ impl<'a> Gen<'a> {
     fn emit_run_pass(&mut self, k: u16) {
         let g = self.g();
         let start = g.start();
-        let forward = k == 1 && self.prefix();
+        let dir = if k == 1 && self.prefix() {
+            "Forward"
+        } else {
+            "Backward"
+        };
         self.ln(
             0,
             &format!(
-            "fn run_pass_{}(input: &[u8]) -> Result<(Vec<u8>, Vec<Option<rt::Value>>), String> {{",
-            k
-        ),
+                "fn run_pass_{}(input: Arc<Vec<u8>>) -> Result<(Vec<u8>, Vec<Option<Value>>), EvalError> {{",
+                k
+            ),
         );
         self.ln(
             1,
-            &format!("let mut r = rt::Reader::open(input, {})?;", forward),
+            &format!(
+                "let mut r = AptReader::open_shared(input, ReadDir::{})?;",
+                dir
+            ),
         );
-        self.ln(1, "let mut w = rt::Writer::new();");
+        self.ln(1, "let mut w = AptWriter::create_owned();");
         self.ln(1, "let rec = match r.next()? {");
-        self.ln(2, "Some(b) => rt::Record::decode(b)?,");
+        self.ln(2, "Some(rec) => rec,");
         self.ln(
             2,
-            "None => return Err(\"APT stream corrupt: empty APT file\".to_string()),",
+            "None => return Err(EvalError::Corrupt(\"empty APT file\".to_string())),",
         );
         self.ln(1, "};");
-        self.ln(1, "if rec.is_prod {");
+        self.ln(1, "match rec.body {");
         self.ln(
             2,
-            "return Err(format!(\"APT stream corrupt: expected a symbol record, found production {}\", rec.id));",
+            &format!("RecordBody::Sym(SymbolId({})) => {{}}", start.0),
         );
-        self.ln(1, "}");
-        self.ln(1, &format!("if rec.id != {}u32 {{", start.0));
         self.ln(
             2,
             &format!(
-                "return Err(format!(\"APT stream corrupt: root record is {{}}, expected start symbol {}\", rec.id));",
+                "RecordBody::Sym(s) => return Err(EvalError::Corrupt(format!(\"root record is {{}}, expected start symbol {}\", s.0))),",
                 start.0
             ),
         );
+        self.ln(
+            2,
+            "RecordBody::Prod(p) => return Err(EvalError::Corrupt(format!(\"expected a symbol record, found production {}\", p.0))),",
+        );
         self.ln(1, "}");
         self.ln(
             1,
             &format!(
-                "let mut state: Vec<Option<rt::Value>> = vec![None; {}];",
+                "let mut state: Vec<Option<Value>> = vec![None; {}];",
                 self.nslots(start)
             ),
         );
-        self.ln(1, "rt::fill_slots(&mut state, rec.values, ATTR_SLOT);");
+        self.ln(
+            1,
+            &format!(
+                "fill_slots(&mut state, {}, rec.values, ATTR_SLOT);",
+                start.0
+            ),
+        );
         self.ln(
             1,
             &format!("visit_p{}({}u32, &mut state, &mut r, &mut w)?;", k, start.0),
         );
         self.ln(1, &format!(
-            "w.write(&rt::Record {{ is_prod: false, id: {}u32, values: rt::collect_alive(&state, ALIVE_S{}_P{}) }}.encode());",
+            "w.write(&Record {{ body: RecordBody::Sym(SymbolId({})), values: collect_alive(&state, ALIVE_S{}_P{}) }})?;",
             start.0, start.0, k
         ));
-        self.ln(1, "Ok((w.finish(), state))");
+        self.ln(1, "let (_, buf) = w.finish_owned()?;");
+        self.ln(1, "Ok((buf, state))");
         self.ln(0, "}");
         self.ln(0, "");
     }
@@ -743,32 +785,30 @@ impl<'a> Gen<'a> {
             0,
             "/// Run every pass over a boundary-0 APT file; returns the root's",
         );
+        self.ln(0, "/// synthesized outputs in declaration order.");
         self.ln(
             0,
-            "/// synthesized outputs encoded as `[attr u32 LE][value]...` in",
-        );
-        self.ln(0, "/// declaration order.");
-        self.ln(
-            0,
-            "pub fn evaluate_apt(input: &[u8]) -> Result<Vec<u8>, String> {",
+            "pub fn evaluate_apt(input: &[u8]) -> Result<Vec<(AttrId, Value)>, EvalError> {",
         );
         if n == 0 {
             self.ln(1, "let _ = input;");
             self.ln(
                 1,
-                "Err(\"APT stream corrupt: grammar evaluates in zero passes; nothing to do\".to_string())",
+                "Err(EvalError::Corrupt(\"grammar evaluates in zero passes; nothing to do\".to_string()))",
             );
             self.ln(0, "}");
             self.ln(0, "");
             return;
         }
-        self.ln(1, "rt::check_header(input)?;");
-        self.ln(1, "let (buf1, root1) = run_pass_1(input)?;");
+        self.ln(
+            1,
+            "let (buf1, root1) = run_pass_1(Arc::new(input.to_vec()))?;",
+        );
         for k in 2..=n {
             self.ln(
                 1,
                 &format!(
-                    "let (buf{}, root{}) = run_pass_{}(&buf{})?;",
+                    "let (buf{}, root{}) = run_pass_{}(Arc::new(buf{}))?;",
                     k,
                     k,
                     k,
@@ -780,22 +820,16 @@ impl<'a> Gen<'a> {
         for k in 1..n {
             self.ln(1, &format!("let _ = root{};", k));
         }
-        self.ln(1, &format!("let root = root{};", n));
-        self.ln(1, "let mut out = Vec::new();");
+        self.ln(1, &format!("let mut root = root{};", n));
+        self.ln(1, "let mut out = Vec::with_capacity(OUTPUT_COUNT);");
         for (attr, slot, name) in self.outputs() {
-            self.ln(1, &format!("match &root[{}] {{", slot));
+            self.ln(1, &format!("match root[{}].take() {{", slot));
+            self.ln(2, &format!("Some(v) => out.push((AttrId({}), v)),", attr));
             self.ln(
                 2,
                 &format!(
-                "Some(v) => {{ out.extend_from_slice(&{}u32.to_le_bytes()); v.encode(&mut out); }}",
-                attr
-            ),
-            );
-            self.ln(
-                2,
-                &format!(
-                    "None => return Err({:?}.to_string()),",
-                    format!("missing attribute instance: root output {}", name)
+                    "None => return Err(EvalError::Missing({:?}.to_string())),",
+                    format!("root output {}", name)
                 ),
             );
             self.ln(1, "}");
@@ -808,12 +842,9 @@ impl<'a> Gen<'a> {
     fn emit_main(&mut self) {
         self.ln(
             0,
-            "/// Subprocess protocol: boundary-0 APT on stdin, encoded outputs on",
+            "/// Boundary-0 APT on stdin, encoded outputs on stdout; any",
         );
-        self.ln(
-            0,
-            "/// stdout; any evaluation error goes to stderr with exit code 1.",
-        );
+        self.ln(0, "/// evaluation error goes to stderr with exit code 1.");
         self.ln(0, "#[allow(dead_code)]");
         self.ln(0, "fn main() {");
         self.ln(1, "use std::io::Read as _;");
@@ -825,7 +856,11 @@ impl<'a> Gen<'a> {
         self.ln(1, "}");
         self.ln(1, "match evaluate_apt(&input) {");
         self.ln(2, "Ok(out) => {");
-        self.ln(3, "if std::io::stdout().write_all(&out).is_err() {");
+        self.ln(
+            3,
+            "let bytes = linguist_eval::compiled::encode_outputs(&out);",
+        );
+        self.ln(3, "if std::io::stdout().write_all(&bytes).is_err() {");
         self.ln(4, "std::process::exit(2);");
         self.ln(3, "}");
         self.ln(2, "}");
@@ -837,6 +872,12 @@ impl<'a> Gen<'a> {
         self.ln(0, "}");
     }
 }
+
+/// Generated error expressions shared by several emit sites.
+const ARM_WIDTH: &str = "EvalError::Corrupt(\"arm width does not match target count\".to_string())";
+const MULTI_ARM: &str =
+    "EvalError::Corrupt(\"multi-expression arm outside a multi-target rule\".to_string())";
+const IF_TYPE: &str = "EvalError::Func(FuncError::Type { name: \"if\".to_string(), expected: \"bool\", got: v.type_name() })";
 
 /// Stable local-variable name for a defined occurrence.
 fn local_var(occ: &AttrOcc) -> String {

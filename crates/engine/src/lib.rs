@@ -4,8 +4,9 @@
 //! the production procedures in its code-size tables are compiled code.
 //! This crate makes that true for the reproduction. Where `linguist-eval`
 //! interprets per-pass plans at runtime, the engine runs the real Rust
-//! evaluators emitted by `linguist_codegen::rustgen` through a two-rung
-//! build ladder:
+//! evaluators emitted by `linguist_codegen::rustgen`, and those link
+//! `linguist-eval` itself for values, APT framing and the standard
+//! functions — one runtime, two ways to drive it:
 //!
 //! * **AOT** — the five bundled grammars' generated evaluators, from
 //!   the default (optimized) analysis, are checked in under
@@ -15,42 +16,31 @@
 //!   any drift between the analysis and the checked-in artifact falls
 //!   back instead of running stale code. AOT evaluation is an
 //!   in-process function call.
-//! * **JIT** — novel grammars are compiled on demand with a bare `rustc`
-//!   subprocess into a cache directory keyed by the same content hash
-//!   ([`jit::JitCache`]), then executed as a subprocess speaking the APT
-//!   protocol (boundary-0 file on stdin, encoded outputs on stdout).
+//! * **The interpreter** — everything else: the default engine, and the
+//!   route every AOT miss or compiled-side failure degrades to.
 //!
-//! Every rung degrades to the interpreter with a typed
-//! [`FallbackReason`] — `rustc` missing, compilation failure, registry
-//! miss, or a runtime error in compiled code — never a panic, and never
-//! a silently different answer: on *any* compiled-side error the engine
+//! Every degradation carries a typed [`FallbackReason`] — registry miss
+//! or a runtime error in compiled code — never a panic, and never a
+//! silently different answer: on *any* compiled-side error the engine
 //! re-runs the interpreter so callers observe exactly the interpreter's
 //! result or error.
 //!
 //! The ABI between host and compiled code is the existing APT framing:
 //! the host serializes the parse tree's boundary-0 file exactly as the
 //! interpreter would read it, and receives the root's synthesized
-//! attributes as `[attr u32 LE][value bytes]…` — byte-identical to
-//! `differential::encoded_outputs` on the interpreter's result. That is
-//! what lets the differential oracle police the engine.
-
-pub mod jit;
+//! attributes as the interpreter's own `(AttrId, Value)` pairs.
 
 use linguist_ag::analysis::Analysis;
 use linguist_ag::ids::AttrId;
 use linguist_ag::passes::Direction;
 use linguist_codegen::rustgen;
+use linguist_eval::compiled::encode_outputs;
 use linguist_eval::funcs::Funcs;
 use linguist_eval::machine::{evaluate, EvalError, EvalOptions, EvalStats, Evaluation, Strategy};
 use linguist_eval::tree::PTree;
 use linguist_eval::value::Value;
 use linguist_eval::AptWriter;
-use linguist_support::intern::Name;
-use linguist_support::list::List;
-use linguist_support::pfunc::PartialFn;
-use linguist_support::set::LSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -62,9 +52,6 @@ pub enum EngineKind {
     Interpreted,
     /// Checked-in generated evaluator, linked into this process.
     CompiledAot,
-    /// Generated evaluator compiled on demand by `rustc` and run as a
-    /// subprocess.
-    CompiledJit,
 }
 
 impl EngineKind {
@@ -73,7 +60,6 @@ impl EngineKind {
         match self {
             EngineKind::Interpreted => "interpreted",
             EngineKind::CompiledAot => "aot",
-            EngineKind::CompiledJit => "jit",
         }
     }
 
@@ -83,7 +69,6 @@ impl EngineKind {
         match s.to_ascii_lowercase().as_str() {
             "interpreted" | "interp" | "interpreter" => Some(EngineKind::Interpreted),
             "aot" | "compiled-aot" | "compiled" => Some(EngineKind::CompiledAot),
-            "jit" | "compiled-jit" => Some(EngineKind::CompiledJit),
             _ => None,
         }
     }
@@ -102,11 +87,6 @@ impl std::fmt::Display for EngineKind {
 /// on the precise degradation path.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FallbackReason {
-    /// `rustc` is not on `PATH` (or failed the version probe).
-    RustcUnavailable,
-    /// `rustc` rejected the generated source; payload is (truncated)
-    /// compiler stderr.
-    CompileFailed(String),
     /// The grammar's generated source matches no checked-in AOT entry;
     /// payload is its content hash.
     AotMiss(String),
@@ -119,8 +99,6 @@ impl FallbackReason {
     /// Stable machine-readable code for serve error details.
     pub fn code(&self) -> &'static str {
         match self {
-            FallbackReason::RustcUnavailable => "rustc_unavailable",
-            FallbackReason::CompileFailed(_) => "compile_failed",
             FallbackReason::AotMiss(_) => "aot_miss",
             FallbackReason::RunFailed(_) => "run_failed",
         }
@@ -129,10 +107,6 @@ impl FallbackReason {
     /// Human-readable detail.
     pub fn detail(&self) -> String {
         match self {
-            FallbackReason::RustcUnavailable => "rustc not found on PATH".to_string(),
-            FallbackReason::CompileFailed(e) => {
-                format!("generated evaluator failed to compile: {}", e)
-            }
             FallbackReason::AotMiss(h) => format!("no AOT evaluator for content hash {}", h),
             FallbackReason::RunFailed(e) => format!("compiled evaluator failed at run time: {}", e),
         }
@@ -145,19 +119,11 @@ impl std::fmt::Display for FallbackReason {
     }
 }
 
-/// Engine selection and build knobs.
+/// Engine selection.
 #[derive(Clone, Debug, Default)]
 pub struct EngineConfig {
     /// Which engine to run.
     pub kind: EngineKind,
-    /// Pass `-O` to on-demand `rustc` builds (slower compile, faster
-    /// evaluator). Defaults to `false`: for typical grammars the
-    /// evaluator is I/O-shaped enough that `-O` rarely pays back its
-    /// compile time on first use.
-    pub optimize: bool,
-    /// On-demand build cache directory. Defaults to
-    /// `$LINGUIST_JIT_CACHE` or `<temp>/linguist86-jit`.
-    pub cache_dir: Option<PathBuf>,
 }
 
 /// Counter snapshot for stats reporting.
@@ -165,29 +131,24 @@ pub struct EngineConfig {
 pub struct EngineCounters {
     /// Evaluations served by an in-process AOT evaluator.
     pub aot_runs: u64,
-    /// Evaluations served by a JIT-compiled subprocess.
-    pub jit_runs: u64,
     /// Evaluations served by the interpreter (selected or degraded).
     pub interpreted_runs: u64,
     /// Evaluations that degraded to the interpreter after a compiled
     /// engine was requested.
     pub fallbacks: u64,
-    /// `rustc` invocations the JIT cache actually performed (cache hits
-    /// don't count).
-    pub jit_compiles: u64,
 }
 
 #[derive(Default)]
 struct Counters {
     aot_runs: AtomicU64,
-    jit_runs: AtomicU64,
     interpreted_runs: AtomicU64,
     fallbacks: AtomicU64,
 }
 
 /// A grammar resolved against the engine: where its evaluations will
 /// actually run. Cache one per grammar (the serve tier keeps it
-/// alongside the analysis) — preparing is where JIT compilation happens.
+/// alongside the analysis) — preparing generates the grammar's source
+/// and looks it up in the AOT registry.
 #[derive(Debug)]
 pub struct PreparedEngine {
     requested: EngineKind,
@@ -198,8 +159,7 @@ pub struct PreparedEngine {
 #[derive(Debug)]
 enum Route {
     Interpret,
-    Aot(fn(&[u8]) -> Result<Vec<u8>, String>),
-    Jit(PathBuf),
+    Aot(AotFn),
     Degraded(FallbackReason),
 }
 
@@ -214,7 +174,6 @@ impl PreparedEngine {
         match self.route {
             Route::Interpret | Route::Degraded(_) => EngineKind::Interpreted,
             Route::Aot(_) => EngineKind::CompiledAot,
-            Route::Jit(_) => EngineKind::CompiledJit,
         }
     }
 
@@ -247,24 +206,17 @@ pub struct EngineOutcome {
     pub fallback: Option<FallbackReason>,
 }
 
-/// The execution engine. Cheap to construct; holds the JIT build cache
-/// and run counters. Share one per process (the serve tier keeps it in
-/// the store).
+/// The execution engine. Cheap to construct; holds the run counters.
+/// Share one per process (the serve tier keeps it in the store).
 pub struct Engine {
     config: EngineConfig,
-    jit: jit::JitCache,
     counters: Counters,
 }
 
 impl Engine {
     /// Build an engine from `config`.
     pub fn new(config: EngineConfig) -> Engine {
-        let dir = config
-            .cache_dir
-            .clone()
-            .unwrap_or_else(jit::default_cache_dir);
         Engine {
-            jit: jit::JitCache::new(dir, config.optimize),
             config,
             counters: Counters::default(),
         }
@@ -275,25 +227,18 @@ impl Engine {
         &self.config
     }
 
-    /// The on-demand build cache (tests exercise it directly).
-    pub fn jit_cache(&self) -> &jit::JitCache {
-        &self.jit
-    }
-
     /// Snapshot the run counters.
     pub fn counters(&self) -> EngineCounters {
         EngineCounters {
             aot_runs: self.counters.aot_runs.load(Ordering::Relaxed),
-            jit_runs: self.counters.jit_runs.load(Ordering::Relaxed),
             interpreted_runs: self.counters.interpreted_runs.load(Ordering::Relaxed),
             fallbacks: self.counters.fallbacks.load(Ordering::Relaxed),
-            jit_compiles: self.jit.compiles(),
         }
     }
 
-    /// Resolve a grammar against the configured engine. For
-    /// [`EngineKind::CompiledJit`] this is where compilation happens
-    /// (content-hash cache hit ⇒ zero `rustc` invocations).
+    /// Resolve a grammar against the configured engine: for
+    /// [`EngineKind::CompiledAot`], generate its source and look the
+    /// content hash up in the AOT registry.
     pub fn prepare(&self, analysis: &Analysis) -> PreparedEngine {
         match self.config.kind {
             EngineKind::Interpreted => PreparedEngine {
@@ -314,26 +259,6 @@ impl Engine {
                     route,
                 }
             }
-            EngineKind::CompiledJit => {
-                let source = rustgen::rust_source(analysis);
-                self.prepare_jit_source(&source)
-            }
-        }
-    }
-
-    /// Prepare the JIT route from explicit generated source. Used by
-    /// [`Engine::prepare`] and directly by tests that need to inject a
-    /// deliberately broken source.
-    pub fn prepare_jit_source(&self, source: &str) -> PreparedEngine {
-        let hash = rustgen::content_hash(source.as_bytes());
-        let route = match self.jit.ensure_built(&hash, source) {
-            Ok(bin) => Route::Jit(bin),
-            Err(reason) => Route::Degraded(reason),
-        };
-        PreparedEngine {
-            requested: EngineKind::CompiledJit,
-            hash,
-            route,
         }
     }
 
@@ -341,10 +266,10 @@ impl Engine {
     ///
     /// Compiled routes replicate the interpreter's pre-checks (tree
     /// validation, strategy compatibility) so front-door errors are
-    /// *identical* `EvalError`s; any error beyond that point — compile
-    /// artifacts misbehaving, subprocess death, a panic inside AOT code —
-    /// degrades to a fresh interpreter run whose result is returned
-    /// verbatim with [`EngineOutcome::fallback`] set.
+    /// *identical* `EvalError`s; any error beyond that point — including
+    /// a panic inside AOT code — degrades to a fresh interpreter run
+    /// whose result is returned verbatim with [`EngineOutcome::fallback`]
+    /// set.
     ///
     /// Compiled evaluations ignore interpreter-only instrumentation in
     /// `opts` (budget metering, fault injection, profiling); outputs are
@@ -373,46 +298,19 @@ impl Engine {
                         }
                     }
                 };
-                let f = *f;
-                let run = catch_unwind(AssertUnwindSafe(|| f(&input)));
-                match flatten_run(run) {
-                    Ok(bytes) => self.compiled_success(
-                        analysis,
-                        funcs,
-                        tree,
-                        opts,
-                        bytes,
-                        EngineKind::CompiledAot,
-                    ),
-                    Err(msg) => self.interpret(
-                        analysis,
-                        funcs,
-                        tree,
-                        opts,
-                        Some(FallbackReason::RunFailed(msg)),
-                    ),
-                }
-            }
-            Route::Jit(bin) => {
-                let input = match compiled_input(analysis, tree, opts) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        return EngineOutcome {
-                            result: Err(e),
-                            engine_used: EngineKind::CompiledJit,
+                match run_aot(*f, &input) {
+                    Ok(outputs) => {
+                        self.counters.aot_runs.fetch_add(1, Ordering::Relaxed);
+                        EngineOutcome {
+                            result: Ok(Evaluation {
+                                outputs,
+                                stats: EvalStats::default(),
+                                metrics: None,
+                            }),
+                            engine_used: EngineKind::CompiledAot,
                             fallback: None,
                         }
                     }
-                };
-                match jit::run(bin, &input) {
-                    Ok(bytes) => self.compiled_success(
-                        analysis,
-                        funcs,
-                        tree,
-                        opts,
-                        bytes,
-                        EngineKind::CompiledJit,
-                    ),
                     Err(msg) => self.interpret(
                         analysis,
                         funcs,
@@ -425,9 +323,9 @@ impl Engine {
         }
     }
 
-    /// Raw compiled output bytes for a tree — the engine side of the
-    /// differential oracle's fifth leg, byte-comparable against
-    /// `encoded_outputs` of the interpreter's evaluation. Unlike
+    /// Compiled output bytes for a tree, encoded as
+    /// [`encode_outputs`] — byte-comparable against `encoded_outputs` of
+    /// the interpreter's evaluation. Unlike
     /// [`Engine::evaluate`] this does *not* degrade: compiled-side
     /// errors surface as `Err` so divergence is visible.
     pub fn compiled_output_bytes(
@@ -441,11 +339,7 @@ impl Engine {
         match &prepared.route {
             Route::Interpret => Err("interpreted route has no compiled output".to_string()),
             Route::Degraded(reason) => Err(reason.to_string()),
-            Route::Aot(f) => {
-                let f = *f;
-                flatten_run(catch_unwind(AssertUnwindSafe(|| f(&input))))
-            }
-            Route::Jit(bin) => jit::run(bin, &input),
+            Route::Aot(f) => run_aot(*f, &input).map(|outputs| encode_outputs(&outputs)),
         }
     }
 
@@ -470,46 +364,6 @@ impl Engine {
         }
     }
 
-    fn compiled_success(
-        &self,
-        analysis: &Analysis,
-        funcs: &Funcs,
-        tree: &PTree,
-        opts: &EvalOptions,
-        bytes: Vec<u8>,
-        kind: EngineKind,
-    ) -> EngineOutcome {
-        match decode_outputs(&bytes) {
-            Ok(outputs) => {
-                match kind {
-                    EngineKind::CompiledAot => {
-                        self.counters.aot_runs.fetch_add(1, Ordering::Relaxed)
-                    }
-                    _ => self.counters.jit_runs.fetch_add(1, Ordering::Relaxed),
-                };
-                EngineOutcome {
-                    result: Ok(Evaluation {
-                        outputs,
-                        stats: EvalStats::default(),
-                        metrics: None,
-                    }),
-                    engine_used: kind,
-                    fallback: None,
-                }
-            }
-            Err(msg) => self.interpret(
-                analysis,
-                funcs,
-                tree,
-                opts,
-                Some(FallbackReason::RunFailed(format!(
-                    "output decode failed: {}",
-                    msg
-                ))),
-            ),
-        }
-    }
-
     /// Adapt this engine into a [`BatchEvaluator`] backend: every batch
     /// job evaluates `prepared` through the usual degradation ladder, so
     /// a whole batch runs compiled with per-job interpreter fallback.
@@ -530,11 +384,10 @@ impl Engine {
     }
 }
 
-fn flatten_run(
-    run: Result<Result<Vec<u8>, String>, Box<dyn std::any::Any + Send>>,
-) -> Result<Vec<u8>, String> {
-    match run {
-        Ok(r) => r,
+/// Call a compiled evaluator, turning its error or panic into a message.
+fn run_aot(f: AotFn, input: &[u8]) -> Result<Vec<(AttrId, Value)>, String> {
+    match catch_unwind(AssertUnwindSafe(|| f(input))) {
+        Ok(r) => r.map_err(|e| e.to_string()),
         Err(p) => {
             let msg = p
                 .downcast_ref::<&str>()
@@ -578,97 +431,9 @@ fn compiled_input(
     Ok(bytes)
 }
 
-/// Decode `[attr u32 LE][value]…` into interpreter-shaped outputs.
-///
-/// Mirrors `Value::decode` except for sets: the wire order is the
-/// compiled evaluator's in-memory (newest-first) order, so membership is
-/// rebuilt by folding `with` over the items *reversed* — the resulting
-/// in-memory order matches the interpreter's, and re-encoding reproduces
-/// the wire bytes exactly.
-fn decode_outputs(bytes: &[u8]) -> Result<Vec<(AttrId, Value)>, String> {
-    let mut pos = 0usize;
-    let mut out = Vec::new();
-    while pos < bytes.len() {
-        if pos + 4 > bytes.len() {
-            return Err(format!("truncated attribute id at byte {}", pos));
-        }
-        let attr = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("sized"));
-        pos += 4;
-        let v = decode_value(bytes, &mut pos)?;
-        out.push((AttrId(attr), v));
-    }
-    Ok(out)
-}
-
-fn decode_value(buf: &[u8], pos: &mut usize) -> Result<Value, String> {
-    let err = |at: usize| format!("malformed value at byte {}", at);
-    let tag = *buf.get(*pos).ok_or_else(|| err(*pos))?;
-    *pos += 1;
-    let take = |pos: &mut usize, n: usize| -> Result<&[u8], String> {
-        let s = buf.get(*pos..*pos + n).ok_or_else(|| err(*pos))?;
-        *pos += n;
-        Ok(s)
-    };
-    match tag {
-        0 => {
-            let b: [u8; 8] = take(pos, 8)?.try_into().expect("sized");
-            Ok(Value::Int(i64::from_le_bytes(b)))
-        }
-        1 => Ok(Value::Bool(take(pos, 1)?[0] != 0)),
-        2 => {
-            let b: [u8; 4] = take(pos, 4)?.try_into().expect("sized");
-            Ok(Value::Sym(Name::from_index(u32::from_le_bytes(b) as usize)))
-        }
-        3 => {
-            let b: [u8; 4] = take(pos, 4)?.try_into().expect("sized");
-            let n = u32::from_le_bytes(b) as usize;
-            let bytes = take(pos, n)?;
-            let s = std::str::from_utf8(bytes).map_err(|_| err(*pos))?;
-            Ok(Value::str(s))
-        }
-        4 => {
-            let b: [u8; 4] = take(pos, 4)?.try_into().expect("sized");
-            let n = u32::from_le_bytes(b) as usize;
-            let mut items = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                items.push(decode_value(buf, pos)?);
-            }
-            Ok(Value::List(items.into_iter().collect::<List<Value>>()))
-        }
-        5 => {
-            let b: [u8; 4] = take(pos, 4)?.try_into().expect("sized");
-            let n = u32::from_le_bytes(b) as usize;
-            let mut items = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                items.push(decode_value(buf, pos)?);
-            }
-            let mut s = LSet::empty();
-            for v in items.into_iter().rev() {
-                s = s.with(v);
-            }
-            Ok(Value::Set(s))
-        }
-        6 => {
-            let b: [u8; 4] = take(pos, 4)?.try_into().expect("sized");
-            let n = u32::from_le_bytes(b) as usize;
-            let mut pairs = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                let k = decode_value(buf, pos)?;
-                let v = decode_value(buf, pos)?;
-                pairs.push((k, v));
-            }
-            let mut m = PartialFn::empty();
-            for (k, v) in pairs.into_iter().rev() {
-                m = m.bind(k, v);
-            }
-            Ok(Value::Map(m))
-        }
-        _ => Err(err(*pos - 1)),
-    }
-}
-
-/// The compiled evaluator entry point: APT frame in, output frame out.
-type AotFn = fn(&[u8]) -> Result<Vec<u8>, String>;
+/// The compiled evaluator entry point: boundary-0 APT file in, root
+/// outputs out.
+type AotFn = fn(&[u8]) -> Result<Vec<(AttrId, Value)>, EvalError>;
 
 /// One checked-in ahead-of-time evaluator.
 struct AotEntry {

@@ -245,6 +245,12 @@ impl Record {
     /// Serialized payload bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append the serialized payload to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self.body {
             RecordBody::Sym(s) => {
                 out.push(0u8);
@@ -258,9 +264,8 @@ impl Record {
         out.extend_from_slice(&(self.values.len() as u16).to_le_bytes());
         for (a, v) in &self.values {
             out.extend_from_slice(&a.0.to_le_bytes());
-            v.encode(&mut out);
+            v.encode(out);
         }
-        out
     }
 
     /// Decode a payload produced by [`Record::encode`].
@@ -468,6 +473,9 @@ pub struct FileSummary {
 #[derive(Debug)]
 pub struct AptWriter {
     sink: Sink,
+    /// Frame under construction for a file sink (an owned sink frames in
+    /// place), reused across records.
+    frame: Vec<u8>,
     path: Option<PathBuf>,
     bytes: u64,
     records: u64,
@@ -499,6 +507,7 @@ impl AptWriter {
             f.write_all(&encode_header(0, 0))?;
             Ok(AptWriter {
                 sink: Sink::File(f),
+                frame: Vec::new(),
                 path: Some(path.to_path_buf()),
                 bytes: 0,
                 records: 0,
@@ -522,6 +531,7 @@ impl AptWriter {
         b.extend_from_slice(&encode_header(0, 0));
         AptWriter {
             sink: Sink::Owned(b),
+            frame: Vec::new(),
             path: None,
             bytes: 0,
             records: 0,
@@ -572,29 +582,29 @@ impl AptWriter {
         if let Some(fault) = &self.fault {
             fault.fire(self.records)?;
         }
-        let payload = rec.encode();
-        let len = (payload.len() as u32).to_le_bytes();
-        let rec_crc = crc::crc32(&payload).to_le_bytes();
-        match &mut self.sink {
-            Sink::File(f) => {
-                f.write_all(&len)?;
-                f.write_all(&payload)?;
-                f.write_all(&rec_crc)?;
-                f.write_all(&len)?;
+        // `[len][payload][crc32][len]`, built where it will live: at the
+        // end of an owned buffer, or in the reused frame for a file.
+        let buf = match &mut self.sink {
+            Sink::Owned(b) => b,
+            Sink::File(_) => {
+                self.frame.clear();
+                &mut self.frame
             }
-            Sink::Owned(b) => {
-                b.extend_from_slice(&len);
-                b.extend_from_slice(&payload);
-                b.extend_from_slice(&rec_crc);
-                b.extend_from_slice(&len);
-            }
-        }
+        };
+        let start = buf.len();
+        buf.extend_from_slice(&[0; 4]);
+        rec.encode_into(buf);
+        let len = ((buf.len() - start - 4) as u32).to_le_bytes();
+        buf[start..start + 4].copy_from_slice(&len);
+        let rec_crc = crc::crc32(&buf[start + 4..]);
+        buf.extend_from_slice(&rec_crc.to_le_bytes());
+        buf.extend_from_slice(&len);
         // Running whole-body CRC, framed bytes in file order.
-        self.crc = crc::update(self.crc, &len);
-        self.crc = crc::update(self.crc, &payload);
-        self.crc = crc::update(self.crc, &rec_crc);
-        self.crc = crc::update(self.crc, &len);
-        let framed = payload.len() as u64 + FRAME_OVERHEAD;
+        self.crc = crc::update(self.crc, &buf[start..]);
+        let framed = (buf.len() - start) as u64;
+        if let Sink::File(f) = &mut self.sink {
+            f.write_all(&self.frame)?;
+        }
         self.bytes += framed;
         self.records += 1;
         if let Some(p) = &self.profile {
@@ -702,6 +712,9 @@ pub enum ReadDir {
 #[derive(Debug)]
 pub struct AptReader {
     src: Source,
+    /// Payload buffer for a file source (a shared source lends its
+    /// bytes directly), reused across records.
+    payload: Vec<u8>,
     path: Option<PathBuf>,
     pos: u64,
     end: u64,
@@ -717,14 +730,35 @@ pub struct AptReader {
 #[derive(Debug)]
 enum Source {
     File(File),
-    /// A sealed boundary buffer shared immutably: reads are plain slice
-    /// copies with no lock — the shared-nothing hot path. The `Arc` is
-    /// cloned once per pass (when the store hands out the reader), never
-    /// per record.
+    /// A sealed boundary buffer shared immutably: records decode straight
+    /// from the buffer, with no lock and no copy — the shared-nothing hot
+    /// path. The `Arc` is cloned once per pass (when the store hands out
+    /// the reader), never per record.
     Shared(Arc<Vec<u8>>),
 }
 
 impl Source {
+    /// The `len` bytes at `pos`: borrowed from a shared buffer, or read
+    /// from a file into `scratch`.
+    fn bytes_at<'a>(
+        &'a mut self,
+        pos: u64,
+        len: usize,
+        scratch: &'a mut Vec<u8>,
+    ) -> Result<&'a [u8], AptError> {
+        match self {
+            Source::Shared(b) => {
+                let start = pos as usize;
+                b.get(start..start + len).ok_or(AptError::Frame { at: pos })
+            }
+            Source::File(_) => {
+                scratch.resize(len, 0);
+                self.read_at(pos, scratch)?;
+                Ok(scratch)
+            }
+        }
+    }
+
     fn read_at(&mut self, pos: u64, out: &mut [u8]) -> Result<(), AptError> {
         match self {
             Source::File(f) => {
@@ -811,6 +845,7 @@ impl AptReader {
             let (end, total_records, total_bytes) = check_header(&head, len)?;
             Ok(AptReader {
                 src: Source::File(file),
+                payload: Vec::new(),
                 path: Some(path.to_path_buf()),
                 pos: match dir {
                     ReadDir::Forward => HEADER_LEN,
@@ -831,9 +866,9 @@ impl AptReader {
 
     /// Open a sealed, immutably shared boundary buffer for reading in
     /// `dir` — the shared-nothing hot path. The contents are never
-    /// mutated after [`AptWriter::finish_owned`] seals them, so reads are
-    /// lock-free slice copies; the `Arc` clone happens once here, not per
-    /// record.
+    /// mutated after [`AptWriter::finish_owned`] seals them, so records
+    /// decode straight from the buffer without a lock; the `Arc` clone
+    /// happens once here, not per record.
     ///
     /// # Errors
     ///
@@ -847,6 +882,7 @@ impl AptReader {
         let (end, total_records, total_bytes) = check_header(&buf[..HEADER_LEN as usize], len)?;
         Ok(AptReader {
             src: Source::Shared(buf),
+            payload: Vec::new(),
             path: None,
             pos: match dir {
                 ReadDir::Forward => HEADER_LEN,
@@ -900,7 +936,9 @@ impl AptReader {
         if let Some(fault) = &self.fault {
             fault.fire(self.records)?;
         }
-        match self.dir {
+        // The frame's start and payload length, and where the reader
+        // stands after it.
+        let (start, len, next) = match self.dir {
             ReadDir::Forward => {
                 if self.pos >= self.end {
                     return Ok(None);
@@ -911,19 +949,12 @@ impl AptReader {
                 if self.pos + FRAME_OVERHEAD + len > self.end {
                     return Err(AptError::Frame { at: self.pos });
                 }
-                let mut payload = vec![0u8; len as usize];
-                self.src.read_at(self.pos + 4, &mut payload)?;
-                let mut crc4 = [0u8; 4];
-                self.src.read_at(self.pos + 4 + len, &mut crc4)?;
                 let mut trail = [0u8; 4];
                 self.src.read_at(self.pos + 8 + len, &mut trail)?;
                 if trail != len4 {
                     return Err(AptError::Frame { at: self.pos });
                 }
-                self.check_crc(self.pos, &payload, crc4)?;
-                self.pos += FRAME_OVERHEAD + len;
-                self.advance(FRAME_OVERHEAD + len);
-                Ok(Some(Record::decode(&payload)?))
+                (self.pos, len, self.pos + FRAME_OVERHEAD + len)
             }
             ReadDir::Backward => {
                 if self.pos == HEADER_LEN {
@@ -944,37 +975,38 @@ impl AptReader {
                 if lead != len4 {
                     return Err(AptError::Frame { at: self.pos });
                 }
-                let mut payload = vec![0u8; len as usize];
-                self.src.read_at(start + 4, &mut payload)?;
-                let mut crc4 = [0u8; 4];
-                self.src.read_at(start + 4 + len, &mut crc4)?;
-                self.check_crc(start, &payload, crc4)?;
-                self.pos = start;
-                self.advance(FRAME_OVERHEAD + len);
-                Ok(Some(Record::decode(&payload)?))
+                (start, len, start)
             }
-        }
+        };
+        let rec = self.read_frame(start, len)?;
+        self.pos = next;
+        Ok(Some(rec))
     }
 
-    fn check_crc(&self, at: u64, payload: &[u8], stored: [u8; 4]) -> Result<(), AptError> {
-        let expected = u32::from_le_bytes(stored);
+    /// Check and decode the frame at `start` with payload length `len`
+    /// (both length fields already validated), and count it.
+    fn read_frame(&mut self, start: u64, len: u64) -> Result<Record, AptError> {
+        let mut crc4 = [0u8; 4];
+        self.src.read_at(start + 4 + len, &mut crc4)?;
+        let payload = self
+            .src
+            .bytes_at(start + 4, len as usize, &mut self.payload)?;
+        let expected = u32::from_le_bytes(crc4);
         let found = crc::crc32(payload);
         if expected != found {
             return Err(AptError::Checksum {
-                at,
+                at: start,
                 expected,
                 found,
             });
         }
-        Ok(())
-    }
-
-    fn advance(&mut self, framed: u64) {
+        let framed = FRAME_OVERHEAD + len;
         self.bytes += framed;
         self.records += 1;
         if let Some(p) = &self.profile {
             p.add_record(framed);
         }
+        Record::decode(payload)
     }
 
     /// Bytes consumed so far.

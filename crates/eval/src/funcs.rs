@@ -13,6 +13,7 @@
 
 use crate::value::Value;
 use linguist_support::list::List;
+use linguist_support::set::LSet;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -133,9 +134,9 @@ fn as_bool(name: &str, v: &Value) -> Result<bool, FuncError> {
     }
 }
 
-fn as_set(name: &str, v: &Value) -> Result<linguist_support::set::LSet<Value>, FuncError> {
+fn as_set<'a>(name: &str, v: &'a Value) -> Result<&'a LSet<Value>, FuncError> {
     match v {
-        Value::Set(s) => Ok(s.clone()),
+        Value::Set(s) => Ok(s),
         other => Err(FuncError::Type {
             name: name.to_owned(),
             expected: "set",
@@ -144,9 +145,9 @@ fn as_set(name: &str, v: &Value) -> Result<linguist_support::set::LSet<Value>, F
     }
 }
 
-fn as_list(name: &str, v: &Value) -> Result<List<Value>, FuncError> {
+fn as_list<'a>(name: &str, v: &'a Value) -> Result<&'a List<Value>, FuncError> {
     match v {
-        Value::List(l) => Ok(l.clone()),
+        Value::List(l) => Ok(l),
         other => Err(FuncError::Type {
             name: name.to_owned(),
             expected: "list",
@@ -155,237 +156,316 @@ fn as_list(name: &str, v: &Value) -> Result<List<Value>, FuncError> {
     }
 }
 
+/// Signature of a standard-library function: a plain `fn`, so generated
+/// evaluators can call one directly.
+pub type BuiltinFn = fn(&[Value]) -> Result<Value, FuncError>;
+
+/// The standard library (the functions the paper's figures use), in one
+/// table. [`Funcs::standard`] registers every entry; generated evaluators
+/// resolve each call site to an index here at generation time (see
+/// [`builtin_index`]), so the interpreter and compiled code run the same
+/// functions.
+pub const BUILTINS: [(&str, BuiltinFn); 31] = [
+    // ---- sets ----------------------------------------------------------
+    ("EmptySet", empty_set),
+    ("UnionSetof", union_setof),
+    ("Union", union),
+    ("IsIn", is_in),
+    ("SetSize", set_size),
+    ("Intersect", intersect),
+    ("Difference", difference),
+    ("StripDigits", strip_digits),
+    // ---- lists ---------------------------------------------------------
+    ("NullList", null_list),
+    ("Cons", cons),
+    ("Cons2", cons2),
+    ("Cons3", cons3),
+    ("Head", head),
+    ("Tail", tail),
+    ("Append", append),
+    ("Length", length),
+    // ---- partial functions ---------------------------------------------
+    ("EmptyPF", empty_pf),
+    ("ConsPF", cons_pf),
+    ("EvalPF", eval_pf),
+    ("IsBottom", is_bottom),
+    // ---- arithmetic / counting -----------------------------------------
+    ("IncrIfZero", incr_if_zero),
+    ("IncrIfTrue", incr_if_true),
+    ("Max", max),
+    ("Min", min),
+    ("Mul", mul),
+    ("Div", div),
+    ("Not", not),
+    ("Pow2", pow2),
+    // ---- messages (the cons$msg / merge$msgs family) --------------------
+    ("NullMsgList", null_msg_list),
+    ("ConsMsg", cons_msg),
+    ("MergeMsgs", merge_msgs),
+];
+
+/// Position of `name` in [`BUILTINS`] (case-insensitive, like
+/// [`Funcs::get`]).
+pub fn builtin_index(name: &str) -> Option<usize> {
+    BUILTINS
+        .iter()
+        .position(|(n, _)| n.eq_ignore_ascii_case(name))
+}
+
+fn empty_set(args: &[Value]) -> Result<Value, FuncError> {
+    expect_arity!("EmptySet", args, 0);
+    Ok(Value::empty_set())
+}
+
+/// union$setof(elem, set) — add one element.
+fn union_setof(args: &[Value]) -> Result<Value, FuncError> {
+    expect_arity!("UnionSetof", args, 2);
+    let s = as_set("UnionSetof", &args[1])?;
+    Ok(Value::Set(s.with(args[0].clone())))
+}
+
+fn union(args: &[Value]) -> Result<Value, FuncError> {
+    expect_arity!("Union", args, 2);
+    let a = as_set("Union", &args[0])?;
+    let b = as_set("Union", &args[1])?;
+    Ok(Value::Set(a.union(b)))
+}
+
+fn is_in(args: &[Value]) -> Result<Value, FuncError> {
+    expect_arity!("IsIn", args, 2);
+    let s = as_set("IsIn", &args[1])?;
+    Ok(Value::Bool(s.contains(&args[0])))
+}
+
+fn set_size(args: &[Value]) -> Result<Value, FuncError> {
+    expect_arity!("SetSize", args, 1);
+    Ok(Value::Int(as_set("SetSize", &args[0])?.len() as i64))
+}
+
+fn intersect(args: &[Value]) -> Result<Value, FuncError> {
+    expect_arity!("Intersect", args, 2);
+    let a = as_set("Intersect", &args[0])?;
+    let b = as_set("Intersect", &args[1])?;
+    Ok(Value::Set(a.intersection(b)))
+}
+
+fn difference(args: &[Value]) -> Result<Value, FuncError> {
+    expect_arity!("Difference", args, 2);
+    let a = as_set("Difference", &args[0])?;
+    let b = as_set("Difference", &args[1])?;
+    Ok(Value::Set(a.difference(b)))
+}
+
+/// Remove the occurrence-index suffix from an occurrence name:
+/// StripDigits('expr1') = 'expr' (Figure-1 convention).
+fn strip_digits(args: &[Value]) -> Result<Value, FuncError> {
+    expect_arity!("StripDigits", args, 1);
+    match &args[0] {
+        Value::Str(s) => Ok(Value::str(s.trim_end_matches(|c: char| c.is_ascii_digit()))),
+        other => Err(FuncError::Type {
+            name: "StripDigits".to_owned(),
+            expected: "string",
+            got: other.type_name(),
+        }),
+    }
+}
+
+fn null_list(args: &[Value]) -> Result<Value, FuncError> {
+    expect_arity!("NullList", args, 0);
+    Ok(Value::nil())
+}
+
+fn cons(args: &[Value]) -> Result<Value, FuncError> {
+    expect_arity!("Cons", args, 2);
+    let l = as_list("Cons", &args[1])?;
+    Ok(Value::List(l.cons(args[0].clone())))
+}
+
+/// cons2(a, b, list): push a pair.
+fn cons2(args: &[Value]) -> Result<Value, FuncError> {
+    expect_arity!("Cons2", args, 3);
+    let l = as_list("Cons2", &args[2])?;
+    let pair: List<Value> = [args[0].clone(), args[1].clone()].into_iter().collect();
+    Ok(Value::List(l.cons(Value::List(pair))))
+}
+
+fn cons3(args: &[Value]) -> Result<Value, FuncError> {
+    expect_arity!("Cons3", args, 4);
+    let l = as_list("Cons3", &args[3])?;
+    let triple: List<Value> = [args[0].clone(), args[1].clone(), args[2].clone()]
+        .into_iter()
+        .collect();
+    Ok(Value::List(l.cons(Value::List(triple))))
+}
+
+fn head(args: &[Value]) -> Result<Value, FuncError> {
+    expect_arity!("Head", args, 1);
+    let l = as_list("Head", &args[0])?;
+    l.head().cloned().ok_or(FuncError::Type {
+        name: "Head".to_owned(),
+        expected: "non-empty list",
+        got: "empty list",
+    })
+}
+
+fn tail(args: &[Value]) -> Result<Value, FuncError> {
+    expect_arity!("Tail", args, 1);
+    let l = as_list("Tail", &args[0])?;
+    Ok(Value::List(l.tail().cloned().unwrap_or_default()))
+}
+
+fn append(args: &[Value]) -> Result<Value, FuncError> {
+    expect_arity!("Append", args, 2);
+    let a = as_list("Append", &args[0])?;
+    let b = as_list("Append", &args[1])?;
+    Ok(Value::List(a.append(b)))
+}
+
+fn length(args: &[Value]) -> Result<Value, FuncError> {
+    expect_arity!("Length", args, 1);
+    Ok(Value::Int(as_list("Length", &args[0])?.len() as i64))
+}
+
+fn empty_pf(args: &[Value]) -> Result<Value, FuncError> {
+    expect_arity!("EmptyPF", args, 0);
+    Ok(Value::empty_map())
+}
+
+fn cons_pf(args: &[Value]) -> Result<Value, FuncError> {
+    expect_arity!("ConsPF", args, 3);
+    match &args[2] {
+        Value::Map(m) => Ok(Value::Map(m.bind(args[0].clone(), args[1].clone()))),
+        other => Err(FuncError::Type {
+            name: "ConsPF".to_owned(),
+            expected: "map",
+            got: other.type_name(),
+        }),
+    }
+}
+
+/// EvalPF(pf, key) = value or the `bottom` atom.
+fn eval_pf(args: &[Value]) -> Result<Value, FuncError> {
+    expect_arity!("EvalPF", args, 2);
+    match &args[0] {
+        Value::Map(m) => Ok(m.eval(&args[1]).cloned().unwrap_or_else(bottom)),
+        other => Err(FuncError::Type {
+            name: "EvalPF".to_owned(),
+            expected: "map",
+            got: other.type_name(),
+        }),
+    }
+}
+
+/// Tests a value against the bottom atom EvalPF returns outside a
+/// partial function's domain.
+fn is_bottom(args: &[Value]) -> Result<Value, FuncError> {
+    expect_arity!("IsBottom", args, 1);
+    Ok(Value::Bool(args[0] == bottom()))
+}
+
+/// IncrIfZero(x, y): y+1 if x = 0 else y (Figure 1 flavour).
+fn incr_if_zero(args: &[Value]) -> Result<Value, FuncError> {
+    expect_arity!("IncrIfZero", args, 2);
+    let x = as_int("IncrIfZero", &args[0])?;
+    let y = as_int("IncrIfZero", &args[1])?;
+    Ok(Value::Int(if x == 0 { y + 1 } else { y }))
+}
+
+fn incr_if_true(args: &[Value]) -> Result<Value, FuncError> {
+    expect_arity!("IncrIfTrue", args, 2);
+    let c = as_bool("IncrIfTrue", &args[0])?;
+    let y = as_int("IncrIfTrue", &args[1])?;
+    Ok(Value::Int(if c { y + 1 } else { y }))
+}
+
+fn max(args: &[Value]) -> Result<Value, FuncError> {
+    expect_arity!("Max", args, 2);
+    Ok(Value::Int(
+        as_int("Max", &args[0])?.max(as_int("Max", &args[1])?),
+    ))
+}
+
+fn min(args: &[Value]) -> Result<Value, FuncError> {
+    expect_arity!("Min", args, 2);
+    Ok(Value::Int(
+        as_int("Min", &args[0])?.min(as_int("Min", &args[1])?),
+    ))
+}
+
+fn mul(args: &[Value]) -> Result<Value, FuncError> {
+    expect_arity!("Mul", args, 2);
+    Ok(Value::Int(
+        as_int("Mul", &args[0])?.wrapping_mul(as_int("Mul", &args[1])?),
+    ))
+}
+
+fn div(args: &[Value]) -> Result<Value, FuncError> {
+    expect_arity!("Div", args, 2);
+    let d = as_int("Div", &args[1])?;
+    if d == 0 {
+        return Err(FuncError::Type {
+            name: "Div".to_owned(),
+            expected: "non-zero divisor",
+            got: "0",
+        });
+    }
+    Ok(Value::Int(as_int("Div", &args[0])? / d))
+}
+
+fn not(args: &[Value]) -> Result<Value, FuncError> {
+    expect_arity!("Not", args, 1);
+    Ok(Value::Bool(!as_bool("Not", &args[0])?))
+}
+
+/// 2^n for small non-negative n (Knuth's binary-number values).
+fn pow2(args: &[Value]) -> Result<Value, FuncError> {
+    expect_arity!("Pow2", args, 1);
+    let n = as_int("Pow2", &args[0])?;
+    if !(0..=62).contains(&n) {
+        return Err(FuncError::Type {
+            name: "Pow2".to_owned(),
+            expected: "exponent in 0..=62",
+            got: "int",
+        });
+    }
+    Ok(Value::Int(1 << n))
+}
+
+fn null_msg_list(args: &[Value]) -> Result<Value, FuncError> {
+    expect_arity!("NullMsgList", args, 0);
+    Ok(Value::nil())
+}
+
+/// ConsMsg(line, msg, name, rest)
+fn cons_msg(args: &[Value]) -> Result<Value, FuncError> {
+    expect_arity!("ConsMsg", args, 4);
+    let rest = as_list("ConsMsg", &args[3])?;
+    let entry: List<Value> = [args[0].clone(), args[1].clone(), args[2].clone()]
+        .into_iter()
+        .collect();
+    Ok(Value::List(rest.cons(Value::List(entry))))
+}
+
+fn merge_msgs(args: &[Value]) -> Result<Value, FuncError> {
+    expect_arity!("MergeMsgs", args, 2);
+    let a = as_list("MergeMsgs", &args[0])?;
+    let b = as_list("MergeMsgs", &args[1])?;
+    Ok(Value::List(a.append(b)))
+}
+
 impl Funcs {
     /// An empty registry.
     pub fn new() -> Funcs {
         Funcs::default()
     }
 
-    /// The standard library (the functions the paper's figures use).
-    /// Names are matched case-insensitively.
+    /// The standard library: every entry of [`BUILTINS`]. Names are
+    /// matched case-insensitively.
     pub fn standard() -> Funcs {
         let mut f = Funcs::new();
-
-        // ---- sets -------------------------------------------------------
-        f.register("EmptySet", |args| {
-            expect_arity!("EmptySet", args, 0);
-            Ok(Value::empty_set())
-        });
-        f.register("UnionSetof", |args| {
-            // union$setof(elem, set) — add one element.
-            expect_arity!("UnionSetof", args, 2);
-            let s = as_set("UnionSetof", &args[1])?;
-            Ok(Value::Set(s.with(args[0].clone())))
-        });
-        f.register("Union", |args| {
-            expect_arity!("Union", args, 2);
-            let a = as_set("Union", &args[0])?;
-            let b = as_set("Union", &args[1])?;
-            Ok(Value::Set(a.union(&b)))
-        });
-        f.register("IsIn", |args| {
-            expect_arity!("IsIn", args, 2);
-            let s = as_set("IsIn", &args[1])?;
-            Ok(Value::Bool(s.contains(&args[0])))
-        });
-        f.register("SetSize", |args| {
-            expect_arity!("SetSize", args, 1);
-            Ok(Value::Int(as_set("SetSize", &args[0])?.len() as i64))
-        });
-        f.register("Intersect", |args| {
-            expect_arity!("Intersect", args, 2);
-            let a = as_set("Intersect", &args[0])?;
-            let b = as_set("Intersect", &args[1])?;
-            Ok(Value::Set(a.intersection(&b)))
-        });
-        f.register("Difference", |args| {
-            expect_arity!("Difference", args, 2);
-            let a = as_set("Difference", &args[0])?;
-            let b = as_set("Difference", &args[1])?;
-            Ok(Value::Set(a.difference(&b)))
-        });
-        f.register("StripDigits", |args| {
-            // Remove the occurrence-index suffix from an occurrence name:
-            // StripDigits('expr1') = 'expr' (Figure-1 convention).
-            expect_arity!("StripDigits", args, 1);
-            match &args[0] {
-                Value::Str(s) => Ok(Value::str(s.trim_end_matches(|c: char| c.is_ascii_digit()))),
-                other => Err(FuncError::Type {
-                    name: "StripDigits".to_owned(),
-                    expected: "string",
-                    got: other.type_name(),
-                }),
-            }
-        });
-
-        // ---- lists ------------------------------------------------------
-        f.register("NullList", |args| {
-            expect_arity!("NullList", args, 0);
-            Ok(Value::nil())
-        });
-        f.register("Cons", |args| {
-            expect_arity!("Cons", args, 2);
-            let l = as_list("Cons", &args[1])?;
-            Ok(Value::List(l.cons(args[0].clone())))
-        });
-        f.register("Cons2", |args| {
-            // cons2(a, b, list): push a pair.
-            expect_arity!("Cons2", args, 3);
-            let l = as_list("Cons2", &args[2])?;
-            let pair: List<Value> = [args[0].clone(), args[1].clone()].into_iter().collect();
-            Ok(Value::List(l.cons(Value::List(pair))))
-        });
-        f.register("Cons3", |args| {
-            expect_arity!("Cons3", args, 4);
-            let l = as_list("Cons3", &args[3])?;
-            let triple: List<Value> = [args[0].clone(), args[1].clone(), args[2].clone()]
-                .into_iter()
-                .collect();
-            Ok(Value::List(l.cons(Value::List(triple))))
-        });
-        f.register("Head", |args| {
-            expect_arity!("Head", args, 1);
-            let l = as_list("Head", &args[0])?;
-            l.head().cloned().ok_or(FuncError::Type {
-                name: "Head".to_owned(),
-                expected: "non-empty list",
-                got: "empty list",
-            })
-        });
-        f.register("Tail", |args| {
-            expect_arity!("Tail", args, 1);
-            let l = as_list("Tail", &args[0])?;
-            Ok(Value::List(l.tail().cloned().unwrap_or_default()))
-        });
-        f.register("Append", |args| {
-            expect_arity!("Append", args, 2);
-            let a = as_list("Append", &args[0])?;
-            let b = as_list("Append", &args[1])?;
-            Ok(Value::List(a.append(&b)))
-        });
-        f.register("Length", |args| {
-            expect_arity!("Length", args, 1);
-            Ok(Value::Int(as_list("Length", &args[0])?.len() as i64))
-        });
-
-        // ---- partial functions ------------------------------------------
-        f.register("EmptyPF", |args| {
-            expect_arity!("EmptyPF", args, 0);
-            Ok(Value::empty_map())
-        });
-        f.register("ConsPF", |args| {
-            expect_arity!("ConsPF", args, 3);
-            match &args[2] {
-                Value::Map(m) => Ok(Value::Map(m.bind(args[0].clone(), args[1].clone()))),
-                other => Err(FuncError::Type {
-                    name: "ConsPF".to_owned(),
-                    expected: "map",
-                    got: other.type_name(),
-                }),
-            }
-        });
-        f.register("EvalPF", |args| {
-            // EvalPF(pf, key) = value or the `bottom` atom.
-            expect_arity!("EvalPF", args, 2);
-            match &args[0] {
-                Value::Map(m) => Ok(m.eval(&args[1]).cloned().unwrap_or_else(bottom)),
-                other => Err(FuncError::Type {
-                    name: "EvalPF".to_owned(),
-                    expected: "map",
-                    got: other.type_name(),
-                }),
-            }
-        });
-        f.register("IsBottom", |args| {
-            // Tests a value against the bottom atom EvalPF returns outside
-            // a partial function's domain.
-            expect_arity!("IsBottom", args, 1);
-            Ok(Value::Bool(args[0] == bottom()))
-        });
-
-        // ---- arithmetic / counting --------------------------------------
-        f.register("IncrIfZero", |args| {
-            // IncrIfZero(x, y): y+1 if x = 0 else y (Figure 1 flavour).
-            expect_arity!("IncrIfZero", args, 2);
-            let x = as_int("IncrIfZero", &args[0])?;
-            let y = as_int("IncrIfZero", &args[1])?;
-            Ok(Value::Int(if x == 0 { y + 1 } else { y }))
-        });
-        f.register("IncrIfTrue", |args| {
-            expect_arity!("IncrIfTrue", args, 2);
-            let c = as_bool("IncrIfTrue", &args[0])?;
-            let y = as_int("IncrIfTrue", &args[1])?;
-            Ok(Value::Int(if c { y + 1 } else { y }))
-        });
-        f.register("Max", |args| {
-            expect_arity!("Max", args, 2);
-            Ok(Value::Int(
-                as_int("Max", &args[0])?.max(as_int("Max", &args[1])?),
-            ))
-        });
-        f.register("Min", |args| {
-            expect_arity!("Min", args, 2);
-            Ok(Value::Int(
-                as_int("Min", &args[0])?.min(as_int("Min", &args[1])?),
-            ))
-        });
-        f.register("Mul", |args| {
-            expect_arity!("Mul", args, 2);
-            Ok(Value::Int(
-                as_int("Mul", &args[0])?.wrapping_mul(as_int("Mul", &args[1])?),
-            ))
-        });
-        f.register("Div", |args| {
-            expect_arity!("Div", args, 2);
-            let d = as_int("Div", &args[1])?;
-            if d == 0 {
-                return Err(FuncError::Type {
-                    name: "Div".to_owned(),
-                    expected: "non-zero divisor",
-                    got: "0",
-                });
-            }
-            Ok(Value::Int(as_int("Div", &args[0])? / d))
-        });
-        f.register("Not", |args| {
-            expect_arity!("Not", args, 1);
-            Ok(Value::Bool(!as_bool("Not", &args[0])?))
-        });
-        f.register("Pow2", |args| {
-            // 2^n for small non-negative n (Knuth's binary-number values).
-            expect_arity!("Pow2", args, 1);
-            let n = as_int("Pow2", &args[0])?;
-            if !(0..=62).contains(&n) {
-                return Err(FuncError::Type {
-                    name: "Pow2".to_owned(),
-                    expected: "exponent in 0..=62",
-                    got: "int",
-                });
-            }
-            Ok(Value::Int(1 << n))
-        });
-
-        // ---- messages (the cons$msg / merge$msgs family) -----------------
-        f.register("NullMsgList", |args| {
-            expect_arity!("NullMsgList", args, 0);
-            Ok(Value::nil())
-        });
-        f.register("ConsMsg", |args| {
-            // ConsMsg(line, msg, name, rest)
-            expect_arity!("ConsMsg", args, 4);
-            let rest = as_list("ConsMsg", &args[3])?;
-            let entry: List<Value> = [args[0].clone(), args[1].clone(), args[2].clone()]
-                .into_iter()
-                .collect();
-            Ok(Value::List(rest.cons(Value::List(entry))))
-        });
-        f.register("MergeMsgs", |args| {
-            expect_arity!("MergeMsgs", args, 2);
-            let a = as_list("MergeMsgs", &args[0])?;
-            let b = as_list("MergeMsgs", &args[1])?;
-            Ok(Value::List(a.append(&b)))
-        });
-
+        for (name, func) in BUILTINS {
+            f.register(name, func);
+        }
         f
     }
 
@@ -520,6 +600,17 @@ mod tests {
         assert!(matches!(e, FuncError::Type { .. }));
         let e = f.call("Div", &[Value::Int(1), Value::Int(0)]).unwrap_err();
         assert!(e.to_string().contains("non-zero"));
+    }
+
+    #[test]
+    fn standard_registers_the_whole_table() {
+        let f = Funcs::standard();
+        assert_eq!(f.len(), BUILTINS.len());
+        for (i, (name, _)) in BUILTINS.iter().enumerate() {
+            assert!(f.get(name).is_some(), "{}", name);
+            assert_eq!(builtin_index(&name.to_ascii_uppercase()), Some(i));
+        }
+        assert_eq!(builtin_index("NoSuchFn"), None);
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //!   initial file (bottom-up/shift-reduce and prefix emission).
 //! * [`machine`] — the interpreter, including the static-subsumption
 //!   global-variable protocol with online verification.
+//! * [`compiled`] — the slot-frame helpers and output encoding that
+//!   generated evaluators link alongside everything above.
 //! * [`batch`] — parallel evaluation of many independent trees on a
 //!   fixed pool of worker threads, with aggregate throughput stats.
 //!
@@ -62,6 +64,7 @@
 
 pub mod aptfile;
 pub mod batch;
+pub mod compiled;
 pub mod crc;
 pub mod funcs;
 pub mod machine;
@@ -77,8 +80,8 @@ pub use aptfile::{
 pub use batch::{BatchEvaluator, BatchOutcome, BatchStats, EvalBackend, FailureKind, JobFailure};
 pub use funcs::{FuncError, Funcs};
 pub use machine::{
-    evaluate, evaluate_resumable, Backing, EvalError, EvalOptions, EvalStats, Evaluation,
-    PassStats, RetryPolicy, Strategy,
+    apply_binop, evaluate, evaluate_resumable, Backing, EvalError, EvalOptions, EvalStats,
+    Evaluation, PassStats, RetryPolicy, Strategy,
 };
 pub use manifest::{Manifest, ManifestError, PassEntry};
 pub use metrics::{EvalMetrics, IoCounters, PassIo, PassProbe};

@@ -709,6 +709,46 @@ fn evaluate_inner(
     })
 }
 
+/// Apply an infix operator, as the interpreter and generated evaluators
+/// both do. `AND`/`OR` receive both operands already evaluated, but skip
+/// the second operand's type check when the first decides the result.
+///
+/// # Errors
+///
+/// [`FuncError::Type`] when an operand has the wrong type.
+pub fn apply_binop(op: BinOp, a: Value, b: Value) -> Result<Value, FuncError> {
+    let int = |v: &Value| -> Result<i64, FuncError> {
+        match v {
+            Value::Int(i) => Ok(*i),
+            other => Err(FuncError::Type {
+                name: op.to_string(),
+                expected: "int",
+                got: other.type_name(),
+            }),
+        }
+    };
+    let boolean = |v: &Value| -> Result<bool, FuncError> {
+        match v {
+            Value::Bool(b) => Ok(*b),
+            other => Err(FuncError::Type {
+                name: op.to_string(),
+                expected: "bool",
+                got: other.type_name(),
+            }),
+        }
+    };
+    Ok(match op {
+        BinOp::Add => Value::Int(int(&a)?.wrapping_add(int(&b)?)),
+        BinOp::Sub => Value::Int(int(&a)?.wrapping_sub(int(&b)?)),
+        BinOp::And => Value::Bool(boolean(&a)? && boolean(&b)?),
+        BinOp::Or => Value::Bool(boolean(&a)? || boolean(&b)?),
+        BinOp::Eq => Value::Bool(a == b),
+        BinOp::Ne => Value::Bool(a != b),
+        BinOp::Gt => Value::Bool(int(&a)? > int(&b)?),
+        BinOp::Lt => Value::Bool(int(&a)? < int(&b)?),
+    })
+}
+
 /// An APT node held on the stack: its symbol plus every attribute instance
 /// currently materialized.
 #[derive(Clone, Debug)]
@@ -1099,7 +1139,7 @@ impl<'a> Machine<'a> {
             Expr::Binop { op, lhs, rhs } => {
                 let a = self.eval_expr(lhs, state, children, limb_vals, locals)?;
                 let b = self.eval_expr(rhs, state, children, limb_vals, locals)?;
-                self.apply_binop(*op, a, b)
+                Ok(apply_binop(*op, a, b)?)
             }
             Expr::If {
                 branches,
@@ -1115,39 +1155,6 @@ impl<'a> Machine<'a> {
                 }
             }
         }
-    }
-
-    fn apply_binop(&self, op: BinOp, a: Value, b: Value) -> Result<Value, EvalError> {
-        let int = |v: &Value| -> Result<i64, EvalError> {
-            match v {
-                Value::Int(i) => Ok(*i),
-                other => Err(EvalError::Func(FuncError::Type {
-                    name: op.to_string(),
-                    expected: "int",
-                    got: other.type_name(),
-                })),
-            }
-        };
-        let boolean = |v: &Value| -> Result<bool, EvalError> {
-            match v {
-                Value::Bool(b) => Ok(*b),
-                other => Err(EvalError::Func(FuncError::Type {
-                    name: op.to_string(),
-                    expected: "bool",
-                    got: other.type_name(),
-                })),
-            }
-        };
-        Ok(match op {
-            BinOp::Add => Value::Int(int(&a)?.wrapping_add(int(&b)?)),
-            BinOp::Sub => Value::Int(int(&a)?.wrapping_sub(int(&b)?)),
-            BinOp::And => Value::Bool(boolean(&a)? && boolean(&b)?),
-            BinOp::Or => Value::Bool(boolean(&a)? || boolean(&b)?),
-            BinOp::Eq => Value::Bool(a == b),
-            BinOp::Ne => Value::Bool(a != b),
-            BinOp::Gt => Value::Bool(int(&a)? > int(&b)?),
-            BinOp::Lt => Value::Bool(int(&a)? < int(&b)?),
-        })
     }
 
     // ---- static-subsumption global protocol ---------------------------

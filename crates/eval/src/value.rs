@@ -20,6 +20,12 @@ use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
+/// Largest capacity a decoder reserves up front for a collection. The
+/// count comes from the input, so a hostile count of 2^32 - 1 must not
+/// turn into one huge allocation; longer collections still decode, they
+/// just grow as their items arrive.
+const DECODE_RESERVE_CAP: usize = 4096;
+
 /// Bytes a [`Str`] can hold inline before spilling to the heap. The
 /// `Heap(Arc<str>)` variant already forces the enum to 24 bytes (fat
 /// pointer + discriminant), so the inline buffer uses the full payload
@@ -64,6 +70,15 @@ impl Str {
         }
     }
 
+    /// The UTF-8 bytes, without re-validating them: what equality and
+    /// the encoder need on the hot path.
+    pub fn as_bytes(&self) -> &[u8] {
+        match self {
+            Str::Inline { len, buf } => &buf[..*len as usize],
+            Str::Heap(s) => s.as_bytes(),
+        }
+    }
+
     /// Borrow the string contents.
     pub fn as_str(&self) -> &str {
         match self {
@@ -97,7 +112,7 @@ impl From<&str> for Str {
 
 impl PartialEq for Str {
     fn eq(&self, other: &Str) -> bool {
-        self.as_str() == other.as_str()
+        self.as_bytes() == other.as_bytes()
     }
 }
 
@@ -175,7 +190,7 @@ impl Value {
             Value::Int(_) => 9,
             Value::Bool(_) => 2,
             Value::Sym(_) => 5,
-            Value::Str(s) => 5 + s.len(),
+            Value::Str(s) => 5 + s.as_bytes().len(),
             Value::List(l) => 5 + l.iter().map(Value::byte_size).sum::<usize>(),
             Value::Set(s) => 5 + s.iter().map(Value::byte_size).sum::<usize>(),
             Value::Map(m) => {
@@ -203,35 +218,17 @@ impl Value {
                 out.extend_from_slice(&(n.index() as u32).to_le_bytes());
             }
             Value::Str(s) => {
+                let bytes = s.as_bytes();
                 out.push(3);
-                out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                out.extend_from_slice(s.as_bytes());
+                out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+                out.extend_from_slice(bytes);
             }
-            Value::List(l) => {
-                out.push(4);
-                let items: Vec<&Value> = l.iter().collect();
-                out.extend_from_slice(&(items.len() as u32).to_le_bytes());
-                for v in items {
-                    v.encode(out);
-                }
-            }
-            Value::Set(s) => {
-                out.push(5);
-                let items: Vec<&Value> = s.iter().collect();
-                out.extend_from_slice(&(items.len() as u32).to_le_bytes());
-                for v in items {
-                    v.encode(out);
-                }
-            }
-            Value::Map(m) => {
-                out.push(6);
-                let items: Vec<(&Value, &Value)> = m.iter().map(|(k, v)| (k, v)).collect();
-                out.extend_from_slice(&(items.len() as u32).to_le_bytes());
-                for (k, v) in items {
-                    k.encode(out);
-                    v.encode(out);
-                }
-            }
+            Value::List(l) => encode_items(out, 4, l.iter(), |v, out| v.encode(out)),
+            Value::Set(s) => encode_items(out, 5, s.iter(), |v, out| v.encode(out)),
+            Value::Map(m) => encode_items(out, 6, m.iter(), |(k, v), out| {
+                k.encode(out);
+                v.encode(out);
+            }),
         }
     }
 
@@ -253,10 +250,11 @@ impl Value {
                 let b: [u8; 8] = take(pos, 8)?.try_into().expect("sized");
                 Ok(Value::Int(i64::from_le_bytes(b)))
             }
-            1 => {
-                let b = take(pos, 1)?[0];
-                Ok(Value::Bool(b != 0))
-            }
+            1 => match take(pos, 1)?[0] {
+                0 => Ok(Value::Bool(false)),
+                1 => Ok(Value::Bool(true)),
+                _ => Err(DecodeError { at: *pos - 1 }),
+            },
             2 => {
                 let b: [u8; 4] = take(pos, 4)?.try_into().expect("sized");
                 Ok(Value::Sym(Name::from_index(u32::from_le_bytes(b) as usize)))
@@ -271,9 +269,10 @@ impl Value {
             4..=6 => {
                 let b: [u8; 4] = take(pos, 4)?.try_into().expect("sized");
                 let n = u32::from_le_bytes(b) as usize;
+                let reserve = n.min(DECODE_RESERVE_CAP);
                 match tag {
                     4 => {
-                        let mut items = Vec::with_capacity(n);
+                        let mut items = Vec::with_capacity(reserve);
                         for _ in 0..n {
                             items.push(Value::decode(buf, pos)?);
                         }
@@ -282,14 +281,14 @@ impl Value {
                     5 => {
                         // Sets encode newest-first; rebuild preserving
                         // membership (order is irrelevant for equality).
-                        let mut items = Vec::with_capacity(n);
+                        let mut items = Vec::with_capacity(reserve);
                         for _ in 0..n {
                             items.push(Value::decode(buf, pos)?);
                         }
                         Ok(Value::Set(items.into_iter().collect()))
                     }
                     _ => {
-                        let mut pairs = Vec::with_capacity(n);
+                        let mut pairs = Vec::with_capacity(reserve);
                         for _ in 0..n {
                             let k = Value::decode(buf, pos)?;
                             let v = Value::decode(buf, pos)?;
@@ -308,6 +307,25 @@ impl Value {
             _ => Err(DecodeError { at: *pos - 1 }),
         }
     }
+}
+
+/// `[tag][count u32 LE][item]…` in one walk: the count is patched in
+/// after the items, so no item list is collected first.
+fn encode_items<T>(
+    out: &mut Vec<u8>,
+    tag: u8,
+    items: impl Iterator<Item = T>,
+    encode: impl Fn(T, &mut Vec<u8>),
+) {
+    out.push(tag);
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    let mut count = 0u32;
+    for item in items {
+        encode(item, out);
+        count += 1;
+    }
+    out[at..at + 4].copy_from_slice(&count.to_le_bytes());
 }
 
 impl PartialEq for Value {
@@ -474,6 +492,30 @@ mod tests {
         let buf = vec![99u8];
         let mut pos = 0;
         assert!(Value::decode(&buf, &mut pos).is_err());
+    }
+
+    #[test]
+    fn hostile_collection_counts_error_without_allocating() {
+        // A count of 2^32 - 1 with no items behind it: the decoder must
+        // run out of input, not try to reserve ~100 GB first.
+        for tag in 4u8..=6 {
+            let buf = [tag, 0xff, 0xff, 0xff, 0xff];
+            let mut pos = 0;
+            assert!(Value::decode(&buf, &mut pos).is_err(), "tag {}", tag);
+        }
+    }
+
+    #[test]
+    fn bool_bytes_other_than_zero_and_one_error() {
+        for b in [2u8, 0x7f, 0xff] {
+            let mut pos = 0;
+            assert_eq!(
+                Value::decode(&[1, b], &mut pos),
+                Err(DecodeError { at: 1 }),
+                "bool byte {}",
+                b
+            );
+        }
     }
 
     #[test]

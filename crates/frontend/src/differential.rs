@@ -18,10 +18,6 @@
 //!    boundary: the manifest is truncated back to each boundary in turn
 //!    and [`Evaluation::resume`] must rebuild the identical result,
 //!
-//! — plus, opt-in (`LINGUIST_DIFF_COMPILED=1` or
-//! [`CaseOptions::compiled`]), a fifth mode: the grammar's generated
-//! Rust evaluator, JIT-compiled by the `linguist-engine` build cache and
-//! required to reproduce the baseline's `encoded_outputs` byte for byte
 //! — plus, default-on (`LINGUIST_DIFF_OPT=0` disables,
 //! [`CaseOptions::optimized`]), a sixth mode: the same source
 //! re-analyzed with the grammar optimizer on and evaluated over the
@@ -37,12 +33,18 @@
 //! whole-production removal at the source level) and persisted as
 //! replayable corpus fixtures with [`persist_fixture`] /
 //! [`load_fixture`].
+//!
+//! Modes 4 and 5 live in the root `differential` test: the `serve`
+//! daemon, and the compiled engine, which needs a cargo build per grammar
+//! — each grammar's generated crate must write exactly the baseline's
+//! [`encoded_outputs`].
 
 use crate::driver::analyze;
 use crate::report::synthesize_tree;
 use linguist_ag::analysis::{Analysis, Config};
 use linguist_ag::passes::Direction;
 use linguist_eval::batch::BatchEvaluator;
+use linguist_eval::compiled::encode_outputs;
 use linguist_eval::funcs::Funcs;
 use linguist_eval::machine::{
     evaluate, evaluate_resumable, Backing, EvalOptions, Evaluation, Strategy,
@@ -91,14 +93,10 @@ pub struct CaseResult {
 }
 
 /// Canonical byte encoding of an evaluation's outputs — the
-/// "byte-identical APT output" acceptance criterion compares these.
+/// "byte-identical APT output" acceptance criterion compares these. A
+/// standalone generated evaluator writes the same encoding.
 pub fn encoded_outputs(eval: &Evaluation) -> Vec<u8> {
-    let mut buf = Vec::new();
-    for (a, v) in &eval.outputs {
-        buf.extend_from_slice(&a.0.to_le_bytes());
-        v.encode(&mut buf);
-    }
-    buf
+    encode_outputs(&eval.outputs)
 }
 
 /// The configuration the baseline and modes 2–5 analyze under: the
@@ -197,51 +195,35 @@ fn failure(mode: &str, detail: String) -> Divergence {
 /// Optional oracle legs for [`run_case_with`].
 #[derive(Clone, Debug)]
 pub struct CaseOptions {
-    /// Run the compiled-engine leg: JIT-compile the grammar's generated
-    /// Rust evaluator and require its raw output bytes to equal the
-    /// sequential baseline's `encoded_outputs`. Off by default — every
-    /// novel grammar costs one `rustc` invocation — and skipped loudly
-    /// (not failed) when `rustc` is unavailable.
-    pub compiled: bool,
     /// Run the optimized-grammar leg: re-analyze the same source with
     /// the grammar optimizer on, evaluate over the *baseline's* tree,
     /// and require byte-identical `encoded_outputs` plus the work
     /// conservation law (the optimizer must never increase the pass
-    /// count or the records written). On by default — it is pure
-    /// interpretation, no `rustc` involved.
+    /// count or the records written). On by default.
     pub optimized: bool,
 }
 
 impl Default for CaseOptions {
     fn default() -> CaseOptions {
-        CaseOptions {
-            compiled: false,
-            optimized: true,
-        }
+        CaseOptions { optimized: true }
     }
 }
 
 impl CaseOptions {
-    /// Environment-driven default: `LINGUIST_DIFF_COMPILED=1` turns the
-    /// compiled leg on for callers going through [`run_case`];
-    /// `LINGUIST_DIFF_OPT=0` turns the (default-on) optimized leg off.
+    /// Environment-driven default: `LINGUIST_DIFF_OPT=0` turns the
+    /// (default-on) optimized leg off for callers going through
+    /// [`run_case`].
     pub fn from_env() -> CaseOptions {
-        let compiled = std::env::var("LINGUIST_DIFF_COMPILED")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false);
         let optimized = std::env::var("LINGUIST_DIFF_OPT")
             .map(|v| !v.is_empty() && v != "0")
             .unwrap_or(true);
-        CaseOptions {
-            compiled,
-            optimized,
-        }
+        CaseOptions { optimized }
     }
 }
 
 /// Run one case through sequential, parallel-batch, and
-/// crash-resume-at-every-boundary modes — plus the compiled-engine leg
-/// when `LINGUIST_DIFF_COMPILED` is set (see [`CaseOptions`]).
+/// crash-resume-at-every-boundary modes — plus the optimized-grammar leg
+/// unless `LINGUIST_DIFF_OPT=0` (see [`CaseOptions`]).
 ///
 /// # Errors
 ///
@@ -317,13 +299,6 @@ pub fn run_case_with(
         &analysis, &funcs, &tree, &opts, &baseline, scratch,
     ));
 
-    // Mode 5 (opt-in): the compiled engine. The interpreter's plans and
-    // the generated Rust evaluator walk the same grammar — their output
-    // bytes must be identical.
-    if case_opts.compiled {
-        divergences.extend(compiled_divergences(&analysis, &tree, &opts, &baseline));
-    }
-
     // Mode 6 (default-on): the optimized grammar. Constant folding,
     // copy-chain collapsing, dead-attribute elimination and record
     // elision together must be semantics-preserving: same source, same
@@ -338,69 +313,6 @@ pub fn run_case_with(
         baseline,
         divergences,
     })
-}
-
-/// Mode 5: JIT-compile the grammar's generated evaluator and compare
-/// its raw output bytes against the baseline's `encoded_outputs`.
-///
-/// A grammar the frontend accepted whose generated evaluator fails to
-/// *build* is itself a divergence (codegen bug); `rustc` being absent is
-/// an environment limitation and skips loudly instead. One engine (and
-/// its content-addressed build cache) is shared process-wide, so corpus
-/// replays and repeated cases compile each distinct grammar once.
-fn compiled_divergences(
-    analysis: &Analysis,
-    tree: &PTree,
-    opts: &EvalOptions,
-    baseline: &Evaluation,
-) -> Vec<Divergence> {
-    use linguist_engine::{Engine, EngineConfig, EngineKind};
-    use std::sync::OnceLock;
-
-    if !linguist_engine::jit::rustc_available() {
-        eprintln!("differential: SKIP compiled leg (rustc unavailable)");
-        return Vec::new();
-    }
-    static ENGINE: OnceLock<Engine> = OnceLock::new();
-    let engine = ENGINE.get_or_init(|| {
-        Engine::new(EngineConfig {
-            kind: EngineKind::CompiledJit,
-            optimize: false,
-            cache_dir: None,
-        })
-    });
-    let prepared = engine.prepare(analysis);
-    if let Some(reason) = prepared.fallback() {
-        return vec![failure(
-            "compiled",
-            format!("generated evaluator did not build: {}", reason),
-        )];
-    }
-    match engine.compiled_output_bytes(&prepared, analysis, tree, opts) {
-        Err(e) => vec![failure("compiled", format!("compiled run failed: {}", e))],
-        Ok(bytes) => {
-            let want = encoded_outputs(baseline);
-            if bytes == want {
-                Vec::new()
-            } else {
-                let at = bytes
-                    .iter()
-                    .zip(want.iter())
-                    .position(|(a, b)| a != b)
-                    .unwrap_or_else(|| bytes.len().min(want.len()));
-                vec![failure(
-                    "compiled",
-                    format!(
-                        "output bytes diverge at offset {} (compiled {} bytes, \
-                         interpreter {} bytes)",
-                        at,
-                        bytes.len(),
-                        want.len()
-                    ),
-                )]
-            }
-        }
-    }
 }
 
 /// Mode 6: re-derive the analysis with the grammar optimizer on and

@@ -91,7 +91,7 @@ pub struct ProfileReport {
     /// was resumed rather than run from scratch.
     pub resumed_from: Option<u16>,
     /// The engine that produced the dynamic half (`"interpreted"`,
-    /// `"aot"`, `"jit"`); `None` when no evaluation was attempted.
+    /// `"aot"`); `None` when no evaluation was attempted.
     pub engine_used: Option<String>,
     /// Typed degradation reason when a compiled engine was requested but
     /// the interpreter answered (`code: detail`).
@@ -182,10 +182,10 @@ impl ProfileReport {
             ..EvalOptions::default()
         };
         let result = if recovery.engine != EngineKind::Interpreted {
-            // Compiled engines: prepare (AOT lookup / JIT build) and run
-            // through the degradation ladder. Checkpoint/resume and the
+            // The compiled engine: prepare (AOT lookup) and run through
+            // the degradation ladder. Checkpoint/resume and the
             // pass-level profile are interpreter-only instrumentation.
-            let engine = shared_engine(recovery.engine);
+            let engine = aot_engine();
             let prepared = engine.prepare(analysis);
             let outcome = engine.evaluate(&prepared, analysis, funcs, &tree, &opts);
             report.engine_used = Some(outcome.engine_used.as_str().to_string());
@@ -410,20 +410,13 @@ impl ProfileReport {
     }
 }
 
-/// One process-wide engine per compiled kind, so repeated profile runs
-/// (and `--batch` jobs) share the AOT registry probe and the
-/// content-hash JIT build cache instead of re-compiling per report.
-fn shared_engine(kind: EngineKind) -> &'static Engine {
+/// One process-wide AOT engine, so repeated profile runs (and `--batch`
+/// jobs) share its run counters.
+fn aot_engine() -> &'static Engine {
     static AOT: std::sync::OnceLock<Engine> = std::sync::OnceLock::new();
-    static JIT: std::sync::OnceLock<Engine> = std::sync::OnceLock::new();
-    let cell = match kind {
-        EngineKind::CompiledJit => &JIT,
-        _ => &AOT,
-    };
-    cell.get_or_init(|| {
+    AOT.get_or_init(|| {
         Engine::new(EngineConfig {
-            kind,
-            ..EngineConfig::default()
+            kind: EngineKind::CompiledAot,
         })
     })
 }

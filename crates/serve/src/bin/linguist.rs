@@ -27,18 +27,19 @@
 //!   --resume             resume the profiled evaluation from DIR's
 //!                        manifest (requires --checkpoint-dir)
 //!   --engine KIND        which execution engine runs the profiled
-//!                        evaluation: interpreted (default), aot
-//!                        (checked-in compiled evaluator), or jit
-//!                        (rustc-on-demand). Compiled engines degrade
-//!                        to the interpreter with a typed reason.
+//!                        evaluation: interpreted (default) or aot
+//!                        (checked-in compiled evaluator). A grammar
+//!                        with no compiled evaluator degrades to the
+//!                        interpreter with a typed reason.
 //!
 //! linguist codegen GRAMMAR.lg [--out DIR] [--first-pass rl|lr]
 //!                  [--opt[=on|off]] [--no-subsumption] [--coalesce]
 //!
 //!   Write the grammar's generated evaluator to DIR (default
-//!   `<stem>-evaluator/`) as a standalone dependency-free Rust binary
-//!   crate: boundary-0 APT on stdin, encoded root outputs on stdout.
-//!   The same source the compiled engine builds.
+//!   `<stem>-evaluator/`) as a standalone Rust binary crate:
+//!   boundary-0 APT on stdin, encoded root outputs on stdout. The same
+//!   source the compiled engine builds; it depends on `linguist-eval`,
+//!   named by the path of the source tree this binary was built from.
 //!
 //! linguist check GRAMMAR.lg [--format text|json] [--deny-warnings]
 //!                [--first-pass rl|lr] [--opt[=on|off]]
@@ -53,7 +54,7 @@
 //!
 //! linguist serve [--socket PATH] [--tcp ADDR] [--workers N] [--queue N]
 //!                [--cache N] [--deadline-ms N] [--max-frame-bytes N]
-//!                [--idle-timeout-ms N] [--engine interpreted|aot|jit]
+//!                [--idle-timeout-ms N] [--engine interpreted|aot]
 //!                [--opt[=on|off]]
 //!
 //!   Run the resident translation service. At least one of --socket
@@ -208,14 +209,14 @@ fn usage() -> ! {
         "usage: linguist GRAMMAR.lg [GRAMMAR2.lg ...] [--listing] [--stats] [--timings] \
          [--profile[=text|json]] [--emit pascal|rust] [--first-pass rl|lr] \
          [--opt[=on|off]] [--no-subsumption] [--coalesce] [--batch] [--jobs N] [--retries N] \
-         [--checkpoint-dir DIR] [--resume] [--engine interpreted|aot|jit]\n\
+         [--checkpoint-dir DIR] [--resume] [--engine interpreted|aot]\n\
          \x20      linguist check GRAMMAR.lg [--format text|json] [--deny-warnings] \
          [--first-pass rl|lr] [--opt[=on|off]] [--no-subsumption] [--coalesce]\n\
          \x20      linguist codegen GRAMMAR.lg [--out DIR] [--first-pass rl|lr] \
          [--opt[=on|off]] [--no-subsumption] [--coalesce]\n\
          \x20      linguist serve [--socket PATH] [--tcp ADDR] [--workers N] [--queue N] \
          [--cache N] [--deadline-ms N] [--max-frame-bytes N] [--idle-timeout-ms N] \
-         [--engine interpreted|aot|jit] [--opt[=on|off]]\n\
+         [--engine interpreted|aot] [--opt[=on|off]]\n\
          \x20      linguist router (--socket PATH | --tcp ADDR) --shard SPEC [--shard ...] \
          [--health-interval-ms N] [--probe-timeout-ms N] [--attempt-timeout-ms N] \
          [--max-attempts N] [--breaker-threshold N] [--breaker-cooldown-ms N]\n\
@@ -429,11 +430,10 @@ fn check_main(args: Vec<String>) -> ExitCode {
 }
 
 /// `linguist codegen ...`: write a grammar's generated evaluator crate
-/// to disk — a standalone Rust binary crate (no dependencies) that reads
-/// a boundary-0 APT file on stdin and writes the root's synthesized
-/// attributes on stdout. This is exactly the source the compiled engine
-/// builds, so `cargo build` in the output directory yields the same
-/// evaluator the `--engine jit` cache would.
+/// to disk — a standalone Rust binary crate, linking `linguist-eval`,
+/// that reads a boundary-0 APT file on stdin and writes the root's
+/// synthesized attributes on stdout. This is exactly the source the
+/// compiled engine links for the bundled grammars.
 fn codegen_main(args: Vec<String>) -> ExitCode {
     let mut path = None;
     let mut out: Option<PathBuf> = None;

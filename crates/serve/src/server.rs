@@ -80,10 +80,10 @@ pub struct ServerConfig {
     pub idle_timeout: Option<Duration>,
     /// Frontend analysis configuration used for every compile.
     pub config: Config,
-    /// Execution-engine selection: interpreted (the default), AOT, or
-    /// on-demand JIT. Compiled engines resolve their route at load time
-    /// and cache it with the grammar; a route that cannot be built
-    /// degrades each job to the interpreter with a typed reason.
+    /// Execution-engine selection: interpreted (the default) or AOT. The
+    /// AOT engine resolves its route at load time and caches it with the
+    /// grammar; a grammar with no compiled evaluator degrades each job to
+    /// the interpreter with a typed reason.
     pub engine: EngineConfig,
 }
 
@@ -467,13 +467,11 @@ fn dispatch_line(line: &str, state: &Arc<ServiceState>) -> (Json, bool) {
                         Json::str(state.engine.config().kind.as_str()),
                     ),
                     ("aot_runs".to_string(), Json::int(c.aot_runs as i64)),
-                    ("jit_runs".to_string(), Json::int(c.jit_runs as i64)),
                     (
                         "interpreted_runs".to_string(),
                         Json::int(c.interpreted_runs as i64),
                     ),
                     ("fallbacks".to_string(), Json::int(c.fallbacks as i64)),
-                    ("jit_compiles".to_string(), Json::int(c.jit_compiles as i64)),
                 ]),
             ));
             (ok_reply(fields), false)

@@ -72,8 +72,8 @@ pub struct CompiledGrammar {
     /// Source spans per dense id, captured at compile time so `check`
     /// requests against a cached grammar never re-run the frontend.
     spans: SpanMap,
-    /// Compiled-engine route resolved at load time (AOT registry lookup
-    /// or JIT build), cached alongside the analysis so warm requests pay
+    /// Compiled-engine route resolved at load time (AOT registry
+    /// lookup), cached alongside the analysis so warm requests pay
     /// zero preparation cost. `None` when the service runs interpreted.
     prepared: Option<PreparedEngine>,
 }
@@ -299,11 +299,10 @@ impl GrammarStore {
 
     /// [`load`](GrammarStore::load), resolving the grammar against an
     /// execution engine at compile time: the entry caches the prepared
-    /// route (AOT function pointer or JIT artifact path) alongside the
+    /// route (the AOT function pointer, or the typed miss) alongside the
     /// analysis, so warm translate requests pay zero engine preparation.
     /// Preparation shares the store's single-flight — concurrent misses
-    /// on one key trigger at most one JIT build from this path (the
-    /// engine's own build cache single-flights cross-grammar collisions).
+    /// on one key generate the grammar's source at most once.
     ///
     /// # Errors
     ///
@@ -394,8 +393,8 @@ impl GrammarStore {
                 .fetch_add(report.collapsed_copies as u64, Ordering::Relaxed);
         }
         // Resolve the compiled-engine route while the analysis is still
-        // in hand (a JIT build happens here, inside the load's
-        // single-flight, on the loading client's time).
+        // in hand (source generation and the registry lookup happen here,
+        // inside the load's single-flight, on the loading client's time).
         let prepared = exec
             .filter(|e| e.config().kind != EngineKind::Interpreted)
             .map(|e| e.prepare(&analysis));

@@ -208,6 +208,31 @@ fn check_errors_exit_one_and_bad_usage_exits_two() {
     assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
 }
 
+/// The engines are `interpreted` and `aot`; the on-demand `jit` tier is
+/// gone, so asking for it is a usage error on every subcommand that
+/// takes `--engine`.
+#[test]
+fn engine_jit_is_a_usage_error() {
+    let good = write_tmp("engine-jit.lg", GOOD);
+    let out = linguist()
+        .arg(&good)
+        .args(["--profile", "--engine", "jit"])
+        .output()
+        .expect("run");
+    assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
+    let out = linguist()
+        .args([
+            "serve",
+            "--socket",
+            "/nonexistent/never-bound.sock",
+            "--engine",
+            "jit",
+        ])
+        .output()
+        .expect("run");
+    assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
+}
+
 #[test]
 fn serve_and_client_subcommands_round_trip() {
     let sock = std::env::temp_dir().join(format!("linguist-cli-serve-{}.sock", std::process::id()));
@@ -501,9 +526,15 @@ fn codegen_subcommand_emits_the_pinned_meta_evaluator() {
             args
         );
         // The standalone manifest must detach from the enclosing workspace
-        // so the emitted crate builds with a plain `cargo build`.
+        // so the emitted crate builds with a plain `cargo build`, and name
+        // the runtime it links by path.
         let manifest_out = std::fs::read_to_string(out_dir.join("Cargo.toml")).expect("manifest");
         assert!(manifest_out.contains("[workspace]"), "{}", manifest_out);
+        assert!(
+            manifest_out.contains("linguist-eval = { path = "),
+            "{}",
+            manifest_out
+        );
         let _unused = std::fs::remove_dir_all(&out_dir);
     }
 }

@@ -37,9 +37,9 @@
 #  16. compiled-engine AOT end to end: `--engine aot` profile reports
 #      the aot engine, and an `--engine aot` daemon answers a
 #      translate tagged "engine":"aot" with engine counters in stats
-#  17. compiled differential smoke: the ignored-by-default fifth-leg
-#      fuzz property under PROPTEST_CASES=8 (loudly skipped, inside
-#      the test, when rustc is absent)
+#  17. compiled differential sweep: the ignored-by-default fifth-leg
+#      fuzz property over 64 generated grammars, each evaluator crate
+#      built with cargo
 #  18. compiled-vs-interpreted bench snapshot lands in target/ and
 #      parses; the committed copy records the >=5x AOT speedup over
 #      the disk-backed interpreter
@@ -331,18 +331,14 @@ wait "$AOT_PID" || { echo "aot daemon exited non-zero"; exit 1; }
 AOT_PID=""
 echo "aot engine serves end to end: compiled translate, tagged reply, counted in stats"
 
-echo "== compiled differential smoke =="
-if command -v rustc > /dev/null; then
-  # The ignored-by-default fifth-leg property: generated grammars must
-  # produce byte-identical output frames from their JIT-compiled
-  # evaluators. Content-hash caching means one rustc run per distinct
-  # grammar across the whole sweep.
-  PROPTEST_CASES=8 cargo test -q --release --test differential -- \
-    --ignored generated_grammars_agree_with_compiled_engine
-  echo "compiled evaluators agree with the interpreter on 8 generated grammars"
-else
-  echo "SKIP: rustc not on PATH — compiled differential smoke not run"
-fi
+echo "== compiled differential sweep =="
+# The ignored-by-default fifth-leg property: each of 64 generated
+# grammars' evaluator crates, written as `linguist codegen` writes them
+# and built with cargo (one shared target directory), must produce output
+# frames byte-identical to the interpreter's.
+PROPTEST_CASES=64 cargo test -q --release --test differential -- \
+  --ignored generated_grammars_agree_with_compiled_engine
+echo "compiled evaluators agree with the interpreter on 64 generated grammars"
 
 echo "== compiled-vs-interpreted bench snapshot =="
 cargo bench -q -p linguist-bench --bench compiled_vs_interpreted > /dev/null

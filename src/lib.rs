@@ -10,7 +10,8 @@
 //! * [`linguist_ag`] — the attribute-grammar core and its analyses.
 //! * [`linguist_eval`] — the file-resident alternating-pass evaluator.
 //! * [`linguist_codegen`] — evaluator source-code generation.
-//! * [`linguist_engine`] — compiled-evaluator execution engine (AOT/JIT).
+//! * [`linguist_engine`] — compiled-evaluator execution engine (AOT, with
+//!   interpreter fallback).
 //! * [`linguist_frontend`] — the LINGUIST input language and overlay driver.
 //! * [`linguist_grammars`] — bundled and synthetic attribute grammars.
 

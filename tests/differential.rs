@@ -18,21 +18,32 @@
 //! the companion test replays every fixture in that directory so a bug,
 //! once caught, stays caught.
 //!
+//! A fifth mode, the compiled engine, builds each grammar's generated
+//! evaluator crate with cargo: tier-1 runs it over every corpus fixture,
+//! and `scripts/verify.sh` runs the `#[ignore]`d sweep over 64 generated
+//! grammars.
+//!
 //! Case count: 64 generated grammars by default (`PROPTEST_CASES`
 //! overrides — `scripts/verify.sh` runs a bounded smoke).
 
 use linguist_ag::analysis::Config;
 use linguist_ag::lint::LintConfig;
+use linguist_codegen::rustgen;
+use linguist_eval::aptfile::AptWriter;
+use linguist_eval::machine::Strategy;
 use linguist_frontend::check_source;
 use linguist_frontend::differential::{
-    faithful, load_fixture, minimize, persist_fixture, run_case, CaseResult,
+    encoded_outputs, faithful, load_fixture, minimize, persist_fixture, run_case, strategy_for,
+    CaseResult,
 };
 use linguist_grammars::synth::{realize, shape_strategy, ShapedGrammar};
 use linguist_serve::client::Client;
 use linguist_serve::server::{Server, ServerConfig, ServerHandle};
 use linguist_support::json::Json;
 use proptest::prelude::*;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 
@@ -289,8 +300,7 @@ proptest! {
 fn corpus_fixtures_batch_byte_identical_to_sequential() {
     use linguist_eval::batch::BatchEvaluator;
     use linguist_eval::machine::{evaluate, Backing, EvalOptions};
-    use linguist_frontend::differential::load_fixture;
-    use linguist_frontend::differential::{encoded_outputs, eval_opts};
+    use linguist_frontend::differential::eval_opts;
     use linguist_frontend::{analyze, synthesize_tree};
 
     let dir = Path::new(CORPUS_DIR);
@@ -342,7 +352,7 @@ proptest! {
     #[test]
     fn optimizer_is_byte_identical_and_never_adds_work(params in shape_strategy()) {
         use linguist_eval::machine::evaluate;
-        use linguist_frontend::differential::{encoded_outputs, eval_opts};
+        use linguist_frontend::differential::eval_opts;
         use linguist_frontend::{analyze, synthesize_tree};
 
         let sg = realize(&params);
@@ -422,18 +432,107 @@ fn corpus_fixtures_replay_clean() {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Mode 5: the compiled engine, as `linguist codegen` ships it.
+// ---------------------------------------------------------------------------
+
+/// Write the case's generated evaluator crate exactly as `linguist
+/// codegen` writes it, build it with the cargo running this test (one
+/// shared target directory, so `linguist-eval` compiles once), pipe the
+/// boundary-0 file through the binary, and require the sequential
+/// baseline's `encoded_outputs` on stdout.
+fn compiled_divergences(name: &str, r: &CaseResult) -> Vec<String> {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("compiled-differential");
+    let crate_name: String = format!("leg5_{}", name)
+        .chars()
+        .map(|c| {
+            if c.is_ascii_alphanumeric() {
+                c.to_ascii_lowercase()
+            } else {
+                '_'
+            }
+        })
+        .collect();
+    let dir = root.join("crates").join(&crate_name);
+    for (rel, contents) in rustgen::crate_files(&r.analysis, &crate_name, true) {
+        let path = dir.join(rel);
+        std::fs::create_dir_all(path.parent().expect("crate file has a parent"))
+            .expect("create crate dir");
+        std::fs::write(&path, contents).expect("write crate file");
+    }
+    let target = root.join("target");
+    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
+    let build = Command::new(cargo)
+        .args(["build", "--offline", "-q", "--manifest-path"])
+        .arg(dir.join("Cargo.toml"))
+        .arg("--target-dir")
+        .arg(&target)
+        .output()
+        .expect("run cargo build");
+    if !build.status.success() {
+        return vec![format!(
+            "[compiled] generated crate did not build:\n{}",
+            String::from_utf8_lossy(&build.stderr)
+        )];
+    }
+
+    let mut w = AptWriter::create_owned();
+    let written = match strategy_for(&r.analysis) {
+        Strategy::BottomUp => {
+            r.tree
+                .write_postfix(&r.analysis.grammar, &r.analysis.lifetimes, &mut w)
+        }
+        Strategy::Prefix => r
+            .tree
+            .write_prefix(&r.analysis.grammar, &r.analysis.lifetimes, &mut w),
+    };
+    written.expect("owned writer accepts the baseline tree");
+    let input = w.finish_owned().expect("owned writer seals").1;
+    let mut child = Command::new(target.join("debug").join(&crate_name))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn generated evaluator");
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(&input)
+        .expect("feed boundary-0 file");
+    let run = child
+        .wait_with_output()
+        .expect("wait for generated evaluator");
+    if !run.status.success() {
+        return vec![format!(
+            "[compiled] generated evaluator failed ({}): {}",
+            run.status,
+            String::from_utf8_lossy(&run.stderr)
+        )];
+    }
+    let want = encoded_outputs(&r.baseline);
+    if run.stdout == want {
+        return Vec::new();
+    }
+    let at = run
+        .stdout
+        .iter()
+        .zip(want.iter())
+        .position(|(a, b)| a != b)
+        .unwrap_or_else(|| run.stdout.len().min(want.len()));
+    vec![format!(
+        "[compiled] output bytes diverge at offset {} (compiled {} bytes, interpreter {} bytes)",
+        at,
+        run.stdout.len(),
+        want.len()
+    )]
+}
+
 /// The fifth (compiled-engine) leg over every pinned fixture: each
-/// fixture's generated Rust evaluator is JIT-compiled and must emit
+/// fixture's generated evaluator crate is built and must emit
 /// `encoded_outputs` byte-identical to the sequential interpreter.
-/// Skips loudly when `rustc` is absent (the leg itself does the same).
 #[test]
 fn corpus_fixtures_compiled_byte_identical() {
-    use linguist_frontend::differential::{run_case_with, CaseOptions};
-
-    if !linguist86::engine::jit::rustc_available() {
-        eprintln!("SKIP: rustc not available; compiled corpus replay untestable here");
-        return;
-    }
     let dir = Path::new(CORPUS_DIR);
     let mut fixtures: Vec<PathBuf> = std::fs::read_dir(dir)
         .expect("tests/corpus exists")
@@ -442,50 +541,48 @@ fn corpus_fixtures_compiled_byte_identical() {
         .collect();
     fixtures.sort();
     assert!(!fixtures.is_empty());
-    let case_opts = CaseOptions {
-        compiled: true,
-        ..CaseOptions::default()
-    };
     for path in fixtures {
         let (source, budget) = load_fixture(&path).expect("read fixture");
+        let name = path
+            .file_stem()
+            .and_then(|s| s.to_str())
+            .expect("fixture has a utf-8 stem")
+            .to_owned();
         let scratch = scratch_dir("corpus-compiled");
-        let result = run_case_with(&source, budget, &scratch, &case_opts);
+        let result = run_case(&source, budget, &scratch);
         let _ = std::fs::remove_dir_all(&scratch);
         let r = result.unwrap_or_else(|d| panic!("{}: no baseline: {}", path.display(), d));
-        let compiled: Vec<String> = r
-            .divergences
-            .iter()
-            .filter(|d| d.mode == "compiled")
-            .map(|d| d.to_string())
-            .collect();
+        let msgs = compiled_divergences(&name, &r);
         assert!(
-            compiled.is_empty(),
+            msgs.is_empty(),
             "{}: compiled engine diverged:\n{}",
             path.display(),
-            compiled.join("\n")
+            msgs.join("\n")
         );
     }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Compiled-engine fuzz smoke: randomized grammars through the full
-    /// oracle *including* the fifth leg. `#[ignore]`d in the default
-    /// suite — each novel grammar costs one `rustc` build — and run
-    /// explicitly by `scripts/verify.sh` with `PROPTEST_CASES=8`.
+    /// Compiled-engine fuzz sweep: randomized grammars through the local
+    /// oracle *plus* the fifth leg. `#[ignore]`d in the default suite —
+    /// each grammar costs one cargo build — and run explicitly by
+    /// `scripts/verify.sh` over 64 cases.
     #[test]
-    #[ignore = "compiled differential smoke; run explicitly (scripts/verify.sh) with PROPTEST_CASES"]
+    #[ignore = "compiled differential sweep; run explicitly (scripts/verify.sh)"]
     fn generated_grammars_agree_with_compiled_engine(params in shape_strategy()) {
-        use linguist_frontend::differential::{run_case_with, CaseOptions};
-
         let sg = realize(&params);
         let scratch = scratch_dir("compiled-case");
-        let result = run_case_with(&sg.source, sg.params.budget, &scratch, &CaseOptions { compiled: true, ..CaseOptions::default() });
+        let result = run_case(&sg.source, sg.params.budget, &scratch);
         let _ = std::fs::remove_dir_all(&scratch);
         let msgs: Vec<String> = match result {
             Err(d) => vec![d.to_string()],
-            Ok(r) => r.divergences.iter().map(|d| d.to_string()).collect(),
+            Ok(r) => {
+                let mut msgs: Vec<String> = r.divergences.iter().map(|d| d.to_string()).collect();
+                msgs.extend(compiled_divergences(&sg.name, &r));
+                msgs
+            }
         };
         if !msgs.is_empty() {
             fail_case(&sg, &msgs);

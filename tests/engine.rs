@@ -1,25 +1,20 @@
 //! Compiled-engine integration tests.
 //!
 //! The engine's contract is *byte-identity with the interpreter*: a
-//! compiled evaluator (AOT or JIT) must produce exactly the bytes the
-//! interpreter's encoded outputs produce, on every bundled grammar, and
-//! every failure along the build ladder must degrade to the interpreter
-//! with a typed [`FallbackReason`] — never a panic, never a silently
-//! different answer.
+//! compiled evaluator must produce exactly the bytes the interpreter's
+//! encoded outputs produce, on every bundled grammar, and every miss or
+//! compiled-side failure must degrade to the interpreter with a typed
+//! [`FallbackReason`] — never a panic, never a silently different answer.
 //!
 //! Also here: the AOT freshness pin (the checked-in generated sources
 //! under `crates/engine/generated/` must equal what `rustgen` emits
 //! today from the default analysis — this is the golden test for the
-//! `meta` grammar and its four siblings) and the on-demand build-cache
-//! properties (content-hash reuse, concurrent single-flight,
-//! stale-artifact sweeping).
+//! `meta` grammar and its four siblings).
 
-use linguist86::ag::ids::AttrId;
-use linguist86::engine::jit::{rustc_available, JitCache};
 use linguist86::engine::{Engine, EngineConfig, EngineKind, FallbackReason};
+use linguist86::eval::compiled::encode_outputs as encoded_outputs;
 use linguist86::eval::machine::EvalOptions;
 use linguist86::eval::tree::PTree;
-use linguist86::eval::value::Value;
 use linguist86::eval::Funcs;
 use linguist86::frontend::differential::strategy_for;
 use linguist86::frontend::synthesize_tree;
@@ -33,16 +28,6 @@ use linguist_ag::analysis::{Analysis, Config};
 use linguist_codegen::rustgen;
 use linguist_support::intern::NameTable;
 use std::path::PathBuf;
-use std::time::Duration;
-
-fn encoded_outputs(outputs: &[(AttrId, Value)]) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    for (a, v) in outputs {
-        bytes.extend_from_slice(&a.0.to_le_bytes());
-        v.encode(&mut bytes);
-    }
-    bytes
-}
 
 fn opts_for(analysis: &Analysis) -> EvalOptions {
     EvalOptions {
@@ -89,16 +74,6 @@ fn trees_for(name: &str, analysis: &Analysis) -> Vec<PTree> {
         .collect()
 }
 
-fn fresh_cache(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "linguist-engine-test-{}-{}",
-        std::process::id(),
-        tag
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// The checked-in AOT sources must equal what `rustgen` emits today
 /// from the default analysis. This is the golden pin for the `meta`
 /// grammar's generated evaluator (and the other four): any codegen
@@ -129,7 +104,6 @@ fn aot_sources_are_fresh() {
 fn aot_byte_identity_all_bundled_grammars() {
     let engine = Engine::new(EngineConfig {
         kind: EngineKind::CompiledAot,
-        ..EngineConfig::default()
     });
     let funcs = Funcs::standard();
     for (name, src) in bundled() {
@@ -158,8 +132,7 @@ fn aot_byte_identity_all_bundled_grammars() {
                 name,
                 i
             );
-            // The full evaluate() path must decode to outputs that
-            // re-encode to the same bytes (set/map order restored).
+            // The full evaluate() path returns the same outputs.
             let outcome = engine.evaluate(&prepared, &analysis, &funcs, tree, &opts);
             assert_eq!(outcome.engine_used, EngineKind::CompiledAot);
             assert!(outcome.fallback.is_none());
@@ -167,7 +140,7 @@ fn aot_byte_identity_all_bundled_grammars() {
             assert_eq!(
                 encoded_outputs(&eval.outputs),
                 encoded_outputs(&interp.outputs),
-                "{}: decoded outputs re-encode differently on tree {}",
+                "{}: evaluate() outputs encode differently on tree {}",
                 name,
                 i
             );
@@ -185,7 +158,6 @@ fn aot_byte_identity_all_bundled_grammars() {
 fn aot_byte_identity_optimized_variants() {
     let engine = Engine::new(EngineConfig {
         kind: EngineKind::CompiledAot,
-        ..EngineConfig::default()
     });
     let funcs = Funcs::standard();
     for (name, src) in bundled() {
@@ -228,7 +200,6 @@ fn aot_byte_identity_optimized_variants() {
 fn aot_byte_identity_parsed_inputs() {
     let engine = Engine::new(EngineConfig {
         kind: EngineKind::CompiledAot,
-        ..EngineConfig::default()
     });
     let funcs = Funcs::standard();
     let cases: Vec<(&str, &str, linguist86::lexgen::Scanner, Vec<String>)> = vec![
@@ -292,7 +263,6 @@ end
     let out = analyze(source).expect("tiny grammar analyzes");
     let engine = Engine::new(EngineConfig {
         kind: EngineKind::CompiledAot,
-        ..EngineConfig::default()
     });
     let prepared = engine.prepare(&out.analysis);
     assert_eq!(prepared.effective(), EngineKind::Interpreted);
@@ -320,151 +290,6 @@ end
             prepared.fallback()
         );
     }
-}
-
-/// JIT: first prepare compiles once, second prepare (same grammar, same
-/// engine) compiles zero times, and outputs are byte-identical to the
-/// interpreter.
-#[test]
-fn jit_byte_identity_and_hash_reuse() {
-    if !rustc_available() {
-        eprintln!("SKIP: rustc not available; JIT path untestable here");
-        return;
-    }
-    let cache = fresh_cache("reuse");
-    let engine = Engine::new(EngineConfig {
-        kind: EngineKind::CompiledJit,
-        optimize: false,
-        cache_dir: Some(cache.clone()),
-    });
-    let analysis = analyze(calc_source()).unwrap().analysis;
-    let funcs = Funcs::standard();
-    let opts = opts_for(&analysis);
-
-    let prepared = engine.prepare(&analysis);
-    assert_eq!(
-        prepared.effective(),
-        EngineKind::CompiledJit,
-        "fallback: {:?}",
-        prepared.fallback()
-    );
-    assert_eq!(engine.jit_cache().compiles(), 1);
-
-    // Second load: content-hash hit, zero compiles.
-    let prepared2 = engine.prepare(&analysis);
-    assert_eq!(prepared2.effective(), EngineKind::CompiledJit);
-    assert_eq!(
-        engine.jit_cache().compiles(),
-        1,
-        "second load must not recompile"
-    );
-
-    for tree in trees_for("calc", &analysis) {
-        let interp = linguist86::eval::machine::evaluate(&analysis, &funcs, &tree, &opts).unwrap();
-        let raw = engine
-            .compiled_output_bytes(&prepared, &analysis, &tree, &opts)
-            .expect("jit run succeeds");
-        assert_eq!(raw, encoded_outputs(&interp.outputs));
-        let outcome = engine.evaluate(&prepared, &analysis, &funcs, &tree, &opts);
-        assert_eq!(outcome.engine_used, EngineKind::CompiledJit);
-        assert_eq!(
-            encoded_outputs(&outcome.result.expect("ok").outputs),
-            encoded_outputs(&interp.outputs)
-        );
-    }
-    let _ = std::fs::remove_dir_all(&cache);
-}
-
-/// Concurrent builds of the same grammar single-flight down to one
-/// `rustc` invocation.
-#[test]
-fn jit_concurrent_single_flight() {
-    if !rustc_available() {
-        eprintln!("SKIP: rustc not available; JIT path untestable here");
-        return;
-    }
-    let cache = fresh_cache("singleflight");
-    let analysis = analyze(calc_source()).unwrap().analysis;
-    let source = rustgen::rust_source(&analysis);
-    let hash = rustgen::content_hash(source.as_bytes());
-    let jit = JitCache::new(cache.clone(), false);
-    std::thread::scope(|scope| {
-        for _ in 0..6 {
-            scope.spawn(|| {
-                let bin = jit.ensure_built(&hash, &source).expect("build succeeds");
-                assert!(bin.is_file());
-            });
-        }
-    });
-    assert_eq!(jit.compiles(), 1, "exactly one rustc invocation");
-    let _ = std::fs::remove_dir_all(&cache);
-}
-
-/// `sweep_stale` removes orphaned `.tmp-` build directories and leaves
-/// installed artifacts alone.
-#[test]
-fn jit_sweep_stale_removes_orphans() {
-    let cache = fresh_cache("sweep");
-    let jit = JitCache::new(cache.clone(), false);
-    // Fake an installed artifact and two crashed builds.
-    let installed = cache.join("deadbeefdeadbeef");
-    std::fs::create_dir_all(&installed).unwrap();
-    std::fs::write(installed.join("evaluator"), b"bin").unwrap();
-    for orphan in ["0123456789abcdef.tmp-99999", "feedfacefeedface.tmp-1"] {
-        let d = cache.join(orphan);
-        std::fs::create_dir_all(&d).unwrap();
-        std::fs::write(d.join("evaluator.rs"), b"fn main() {}").unwrap();
-    }
-    let removed = jit.sweep_stale(Duration::ZERO);
-    assert_eq!(removed, 2);
-    assert!(installed.join("evaluator").is_file(), "artifact survives");
-    assert!(!cache.join("0123456789abcdef.tmp-99999").exists());
-    let _ = std::fs::remove_dir_all(&cache);
-}
-
-/// Regression (satellite): a generated source that fails to compile
-/// degrades to the interpreter with a typed `CompileFailed` — no panic,
-/// and the evaluation still returns the interpreter's answer.
-#[test]
-fn broken_generated_source_degrades_typed() {
-    if !rustc_available() {
-        eprintln!("SKIP: rustc not available; compile-failure path untestable here");
-        return;
-    }
-    let cache = fresh_cache("broken");
-    let engine = Engine::new(EngineConfig {
-        kind: EngineKind::CompiledJit,
-        optimize: false,
-        cache_dir: Some(cache.clone()),
-    });
-    // A deliberately broken "generated" evaluator.
-    let prepared = engine.prepare_jit_source("fn main( { this is not rust");
-    assert_eq!(prepared.effective(), EngineKind::Interpreted);
-    match prepared.fallback() {
-        Some(FallbackReason::CompileFailed(stderr)) => {
-            assert!(!stderr.is_empty(), "compiler stderr captured");
-        }
-        other => panic!("expected CompileFailed, got {:?}", other),
-    }
-    // Evaluation still succeeds via the interpreter, reason attached.
-    let analysis = analyze(calc_source()).unwrap().analysis;
-    let funcs = Funcs::standard();
-    let opts = opts_for(&analysis);
-    let tree = synthesize_tree(&analysis.grammar, 16).expect("tree");
-    let outcome = engine.evaluate(&prepared, &analysis, &funcs, &tree, &opts);
-    assert_eq!(outcome.engine_used, EngineKind::Interpreted);
-    assert!(matches!(
-        outcome.fallback,
-        Some(FallbackReason::CompileFailed(_))
-    ));
-    outcome.result.expect("interpreter result");
-    assert_eq!(engine.counters().fallbacks, 1);
-    assert_eq!(
-        engine.jit_cache().compiles(),
-        0,
-        "failed builds don't count"
-    );
-    let _ = std::fs::remove_dir_all(&cache);
 }
 
 /// The AOT registry exposes all five bundled grammars' optimized
