@@ -334,15 +334,19 @@ impl AgBuilder {
             return Err(e);
         }
         let start = self.start.ok_or(BuildError::NoStart)?;
-        let g = Grammar {
+        let mut g = Grammar {
             names: self.names,
             symbols: self.symbols,
+            slots: vec![(0, 0); self.attrs.len()],
             attrs: self.attrs,
             productions: self.productions,
             rules: self.rules,
             start,
         };
         g.validate()?;
+        for s in 0..g.symbols.len() {
+            g.number_slots(SymbolId(s as u32));
+        }
         Ok(g)
     }
 }
@@ -353,6 +357,8 @@ pub struct Grammar {
     names: NameTable,
     symbols: Vec<Symbol>,
     attrs: Vec<Attribute>,
+    /// `(owner symbol, slot)` per attribute; see [`Grammar::attr_slots`].
+    slots: Vec<(u32, usize)>,
     productions: Vec<Production>,
     rules: Vec<SemRule>,
     start: SymbolId,
@@ -491,6 +497,28 @@ impl Grammar {
         &self.attrs[a.0 as usize]
     }
 
+    /// `(owner symbol, slot)` of every attribute, indexed by attribute id.
+    /// An attribute's slot is its position in its owner's declaration
+    /// list, so a node's instances fit a dense frame of
+    /// `symbol(owner).attrs.len()` entries. The interpreter and generated
+    /// evaluators both load records into frames through this one table.
+    /// A detached attribute keeps `(0, 0)`: no record written under the
+    /// grammar's layout carries one.
+    pub fn attr_slots(&self) -> &[(u32, usize)] {
+        &self.slots
+    }
+
+    /// `a`'s slot in its owner's frame (see [`Grammar::attr_slots`]).
+    pub fn slot(&self, a: AttrId) -> usize {
+        self.slots[a.0 as usize].1
+    }
+
+    fn number_slots(&mut self, sym: SymbolId) {
+        for (i, &a) in self.symbols[sym.0 as usize].attrs.iter().enumerate() {
+            self.slots[a.0 as usize] = (sym.0, i);
+        }
+    }
+
     /// One production.
     pub fn production(&self, p: ProdId) -> &Production {
         &self.productions[p.0 as usize]
@@ -587,6 +615,8 @@ impl Grammar {
     pub(crate) fn detach_attr(&mut self, a: AttrId) {
         let sym = self.attrs[a.0 as usize].symbol;
         self.symbols[sym.0 as usize].attrs.retain(|&x| x != a);
+        self.slots[a.0 as usize] = (0, 0);
+        self.number_slots(sym);
     }
 
     /// Every attribute occurrence a production's rules must define: all
@@ -666,6 +696,25 @@ mod tests {
         assert_eq!(g.attrs().len(), 2);
         assert_eq!(g.rules().len(), 1);
         assert!(g.rule(RuleId(0)).is_copy());
+    }
+
+    #[test]
+    fn slots_number_each_symbols_attributes_and_follow_detachment() {
+        let mut b = AgBuilder::new();
+        let s = b.nonterminal("S");
+        let x = b.terminal("x");
+        let obj = b.intrinsic(x, "OBJ", "int");
+        let a = b.synthesized(s, "A", "int");
+        let dead = b.synthesized(s, "DEAD", "int");
+        let c = b.synthesized(s, "C", "int");
+        b.production(s, vec![x], None);
+        b.start(s);
+        let mut g = b.build().unwrap();
+        assert_eq!(g.attr_slots(), &[(1, 0), (0, 0), (0, 1), (0, 2)]);
+        assert_eq!((g.slot(obj), g.slot(a), g.slot(c)), (0, 0, 2));
+        g.detach_attr(dead);
+        assert_eq!(g.slot(c), 1, "later attributes close the gap");
+        assert_eq!(g.attr_slots()[dead.0 as usize], (0, 0));
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //! the start symbol are the translation's results, so their lifetime is
 //! pinned past the final pass. The node record written at the boundary
 //! between pass `k` and `k+1` carries exactly the attributes alive across
-//! that boundary.
+//! that boundary: the symbol's [`Lifetimes::layout`] at `k`.
 
 use crate::grammar::{AttrClass, Grammar};
-use crate::ids::AttrId;
+use crate::ids::{AttrId, SymbolId};
 use crate::passes::PassAssignment;
 
 /// Computed lifetimes for every attribute.
@@ -25,13 +25,14 @@ use crate::passes::PassAssignment;
 pub struct Lifetimes {
     earliest: Vec<u16>,
     latest: Vec<u16>,
-    num_passes: u16,
     /// Whether terminal records carrying no live attributes are elided
     /// from the intermediate files entirely (the optimizer's storage
     /// transform; off by default so the paper-faithful record counts
     /// are reproduced). Writers and readers share this struct, so both
     /// sides of every boundary agree on which records exist.
     elide_empty: bool,
+    /// `layouts[boundary][symbol]`: see [`Lifetimes::layout`].
+    layouts: Vec<Vec<Vec<(u32, usize)>>>,
 }
 
 impl Lifetimes {
@@ -61,12 +62,39 @@ impl Lifetimes {
                 latest[a.0 as usize] = num_passes + 1;
             }
         }
-        Lifetimes {
+        let mut lt = Lifetimes {
             earliest,
             latest,
-            num_passes,
             elide_empty: false,
-        }
+            layouts: Vec::new(),
+        };
+        lt.layouts = (0..=num_passes)
+            .map(|k| {
+                g.symbols()
+                    .iter()
+                    .map(|sym| {
+                        let mut rows: Vec<(u32, usize)> = sym
+                            .attrs
+                            .iter()
+                            .filter(|&&a| lt.alive_across(a, k))
+                            .map(|&a| (a.0, g.slot(a)))
+                            .collect();
+                        rows.sort_unstable();
+                        rows
+                    })
+                    .collect()
+            })
+            .collect();
+        lt
+    }
+
+    /// The record layout of `sym` at `boundary`: `(attr, slot)` for each of
+    /// its attributes alive across that boundary, sorted by attribute id.
+    /// A node record written at the boundary carries exactly these
+    /// attributes, in this order, read from these slots of the node's
+    /// frame (see [`Grammar::attr_slots`]).
+    pub fn layout(&self, sym: SymbolId, boundary: u16) -> &[(u32, usize)] {
+        &self.layouts[boundary as usize][sym.0 as usize]
     }
 
     /// Turn on terminal-record elision (see [`Lifetimes::elides`]).
@@ -88,13 +116,10 @@ impl Lifetimes {
     /// terminals qualify everywhere; a `NUMBER.VAL`-style carrier drops
     /// out of the stream once its last reader has run). Nonterminals
     /// are never elided — their records are the visit skeleton.
-    pub fn elides(&self, g: &Grammar, sym: crate::ids::SymbolId, boundary: u16) -> bool {
+    pub fn elides(&self, g: &Grammar, sym: SymbolId, boundary: u16) -> bool {
         self.elide_empty
             && g.symbol(sym).kind == crate::grammar::SymbolKind::Terminal
-            && g.symbol(sym)
-                .attrs
-                .iter()
-                .all(|&a| !self.alive_across(a, boundary))
+            && self.layout(sym, boundary).is_empty()
     }
 
     /// The pass defining `a` (0 for intrinsics).
@@ -121,7 +146,7 @@ impl Lifetimes {
 
     /// Number of evaluation passes the lifetimes were computed for.
     pub fn num_passes(&self) -> u16 {
-        self.num_passes
+        self.layouts.len() as u16 - 1
     }
 }
 
@@ -181,6 +206,11 @@ mod tests {
         assert!(lt.alive_across(bv, 1));
         assert!(!lt.alive_across(bv, 0), "not defined before pass 1");
         assert!(!lt.alive_across(bv, 2), "not referenced after pass 2");
+        // B's record carries B.V across boundary 1 and nothing else.
+        let b_sym = g.symbol_by_name("B").unwrap();
+        assert_eq!(lt.layout(b_sym, 1), &[(bv.0, g.slot(bv))]);
+        assert!(lt.layout(b_sym, 0).is_empty());
+        assert!(lt.layout(b_sym, 2).is_empty());
     }
 
     #[test]

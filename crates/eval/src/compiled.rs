@@ -1,14 +1,15 @@
-//! What generated evaluators link besides the interpreter's own parts.
+//! The one frame model, shared by the interpreter and generated code.
 //!
-//! `linguist_codegen::rustgen` compiles each grammar's pass plans into a
-//! Rust evaluator that runs on this crate: the same [`Value`], the same
-//! [`AptReader`](crate::AptReader)/[`AptWriter`](crate::AptWriter)
-//! framing, the same builtins ([`crate::funcs::BUILTINS`]) and operators
-//! ([`crate::machine::apply_binop`]). Generated code keeps a node's
-//! attributes in a dense slot frame instead of the interpreter's hash
-//! map; this module converts between frames and records, and holds the
-//! output encoding by which compiled and interpreted results are
-//! compared byte for byte.
+//! A node on the stack keeps its attribute instances in a dense frame,
+//! `Vec<Option<Value>>`, one slot per attribute of its symbol
+//! (`Grammar::attr_slots`). [`fill_slots`] loads a record into a frame and
+//! [`collect_alive`] reads a frame back out in a boundary's record layout
+//! (`Lifetimes::layout`): `crate::machine` calls both, and so does every
+//! evaluator `linguist_codegen::rustgen` generates, which also shares the
+//! interpreter's [`Value`], APT framing, builtins
+//! ([`crate::funcs::BUILTINS`]) and operators
+//! ([`crate::machine::apply_binop`]). [`encode_outputs`] is the encoding
+//! by which compiled and interpreted results are compared byte for byte.
 //!
 //! The re-exports let a generated crate depend on `linguist-eval` alone.
 
@@ -19,9 +20,8 @@ pub use linguist_support::intern::Name;
 
 /// Load a record's values into the slot frame of symbol `sym`.
 /// `attr_slot[a]` is `(owner symbol, slot)` for attribute `a`. Values of
-/// unknown attributes or of another symbol's attributes are dropped: the
-/// interpreter parks them in its map where nothing ever reads them, so
-/// dropping them is observably the same.
+/// unknown attributes or of another symbol's attributes are dropped:
+/// nothing could read them.
 pub fn fill_slots(
     slots: &mut [Option<Value>],
     sym: u32,
@@ -37,9 +37,8 @@ pub fn fill_slots(
     }
 }
 
-/// The present values of an alive-attribute table `(attr, slot)`, already
-/// sorted by attribute id: the record the interpreter's `to_record`
-/// writes for the same node.
+/// The present values of a record layout `(attr, slot)`, in its order
+/// (sorted by attribute id): the values of the node's record.
 pub fn collect_alive(slots: &[Option<Value>], alive: &[(u32, usize)]) -> Vec<(AttrId, Value)> {
     alive
         .iter()

@@ -8,6 +8,13 @@
 //! from N is visited … When the evaluation pass over N's subtree is
 //! finished node N is written to the intermediate file."
 //!
+//! A stacked node is a frame, one slot per attribute of its symbol: the
+//! frame model of [`crate::compiled`], which generated evaluators share.
+//! Records load into frames through `fill_slots` and leave them in their
+//! boundary's layout through `collect_alive`; a rule's result goes
+//! straight into its target's slot; each callee is looked up in the
+//! [`Funcs`] once per evaluation, not once per call.
+//!
 //! The machine also *executes the static-subsumption protocol* alongside
 //! reference evaluation: it maintains the global variables, performs the
 //! save/set/restore dance around child visits for non-subsumed definitions
@@ -22,14 +29,15 @@ use crate::aptfile::{
     boundary_path, file_summary, AptError, AptReader, AptWriter, FaultSpec, FaultTarget,
     FileSummary, ReadDir, Record, RecordBody, TempAptDir,
 };
-use crate::funcs::{FuncError, Funcs};
+use crate::compiled::{collect_alive, fill_slots};
+use crate::funcs::{ExternalFn, FuncError, Funcs};
 use crate::manifest::{Manifest, ManifestError, PassEntry};
 use crate::metrics::{EvalMetrics, PassProbe};
 use crate::tree::{PTree, TreeError};
 use crate::value::Value;
 use linguist_ag::analysis::Analysis;
 use linguist_ag::expr::{BinOp, Expr};
-use linguist_ag::grammar::AttrClass;
+use linguist_ag::grammar::{AttrClass, Grammar};
 use linguist_ag::ids::{AttrId, AttrOcc, OccPos, ProdId, RuleId, SymbolId};
 use linguist_ag::passes::Direction;
 use linguist_ag::plan::Step;
@@ -511,6 +519,7 @@ fn evaluate_inner(
     let mut machine = Machine {
         analysis,
         funcs,
+        callees: Vec::new(),
         globals: HashMap::new(),
         stats: EvalStats {
             meter: Meter::with_budget(opts.budget),
@@ -695,9 +704,8 @@ fn evaluate_inner(
     let mut outputs = Vec::new();
     for &a in &g.symbol(g.start()).attrs {
         if g.attr(a).class == AttrClass::Synthesized {
-            let v = root
-                .values
-                .get(&a)
+            let v = root.values[g.slot(a)]
+                .as_ref()
                 .ok_or_else(|| EvalError::Missing(format!("root output {}", g.attr_name(a))))?;
             outputs.push((a, v.clone()));
         }
@@ -749,24 +757,38 @@ pub fn apply_binop(op: BinOp, a: Value, b: Value) -> Result<Value, FuncError> {
     })
 }
 
-/// An APT node held on the stack: its symbol plus every attribute instance
-/// currently materialized.
+/// An APT node held on the stack: its symbol and its frame, one slot per
+/// attribute of the symbol ([`Grammar::attr_slots`]).
 #[derive(Clone, Debug)]
 struct NodeState {
     sym: SymbolId,
-    values: HashMap<AttrId, Value>,
+    values: Vec<Option<Value>>,
     charged: usize,
 }
 
 impl NodeState {
-    fn from_record(rec: Record) -> Result<NodeState, EvalError> {
+    fn empty(g: &Grammar, sym: SymbolId) -> NodeState {
+        NodeState {
+            sym,
+            values: vec![None; g.symbol(sym).attrs.len()],
+            charged: 0,
+        }
+    }
+
+    /// Load a symbol record into a fresh frame, as generated code does.
+    fn from_record(g: &Grammar, rec: Record) -> Result<NodeState, EvalError> {
         let charged = rec.byte_size();
         match rec.body {
-            RecordBody::Sym(sym) => Ok(NodeState {
-                sym,
-                values: rec.values.into_iter().collect(),
-                charged,
-            }),
+            RecordBody::Sym(sym) if (sym.0 as usize) < g.symbols().len() => {
+                let mut state = NodeState::empty(g, sym);
+                fill_slots(&mut state.values, sym.0, rec.values, g.attr_slots());
+                state.charged = charged;
+                Ok(state)
+            }
+            RecordBody::Sym(sym) => Err(EvalError::Corrupt(format!(
+                "record for unknown symbol {}",
+                sym.0
+            ))),
             RecordBody::Prod(p) => Err(EvalError::Corrupt(format!(
                 "expected a symbol record, found production {}",
                 p.0
@@ -775,9 +797,22 @@ impl NodeState {
     }
 }
 
+/// What one production-procedure activation holds besides its own node:
+/// the children's frames and the limb's. A rule writes its result
+/// straight into its target's slot, so these frames are also the visit's
+/// locals: a child's frame is created early when a rule defines one of
+/// its inherited attributes before its record is read.
+struct Frame {
+    children: Vec<Option<NodeState>>,
+    limb: Vec<Option<Value>>,
+}
+
 struct Machine<'a> {
     analysis: &'a Analysis,
     funcs: &'a Funcs,
+    /// `funcs` entries by function-name index, each looked up on its
+    /// first call of the evaluation (`None` until then).
+    callees: Vec<Option<Option<&'a ExternalFn>>>,
     globals: HashMap<GroupId, Value>,
     stats: EvalStats,
     check_globals: bool,
@@ -797,7 +832,7 @@ impl<'a> Machine<'a> {
         let rec = reader
             .next()?
             .ok_or_else(|| EvalError::Corrupt("empty APT file".to_owned()))?;
-        let mut root = NodeState::from_record(rec)?;
+        let mut root = NodeState::from_record(g, rec)?;
         if root.sym != g.start() {
             return Err(EvalError::Corrupt(format!(
                 "root record is {}, expected start symbol {}",
@@ -807,25 +842,18 @@ impl<'a> Machine<'a> {
         }
         self.stats.meter.charge(root.charged);
         self.visit(&mut root, reader, writer)?;
-        writer.write(&self.to_record(&root))?;
+        writer.write(&self.record(&root))?;
         self.stats.meter.release(root.charged);
         Ok(root)
     }
 
-    fn to_record(&self, state: &NodeState) -> Record {
-        let g = &self.analysis.grammar;
-        let lt = &self.analysis.lifetimes;
-        let mut values: Vec<(AttrId, Value)> = g
-            .symbol(state.sym)
-            .attrs
-            .iter()
-            .filter(|&&a| lt.alive_across(a, self.pass))
-            .filter_map(|&a| state.values.get(&a).map(|v| (a, v.clone())))
-            .collect();
-        values.sort_by_key(|(a, _)| *a);
+    /// `state`'s record at the end of this pass: its layout at boundary
+    /// `pass`.
+    fn record(&self, state: &NodeState) -> Record {
+        let layout = self.analysis.lifetimes.layout(state.sym, self.pass);
         Record {
             body: RecordBody::Sym(state.sym),
-            values,
+            values: collect_alive(&state.values, layout),
         }
     }
 
@@ -847,232 +875,185 @@ impl<'a> Machine<'a> {
         let prod_rec = reader
             .next()?
             .ok_or_else(|| EvalError::Corrupt("APT file ended inside a visit".to_owned()))?;
-        let (prod, mut limb_vals, prod_charged) = match prod_rec.body {
-            RecordBody::Prod(p) => {
-                let charged = prod_rec.byte_size();
-                let vals: HashMap<AttrId, Value> = prod_rec.values.into_iter().collect();
-                (p, vals, charged)
-            }
+        let prod_charged = prod_rec.byte_size();
+        let prod = match prod_rec.body {
+            RecordBody::Prod(p) => p,
             RecordBody::Sym(s) => {
                 return Err(EvalError::Corrupt(format!(
                     "expected a production record, found symbol {}",
-                    g.symbol_name(s)
+                    s.0
                 )))
             }
         };
-        if g.production(prod).lhs != state.sym {
-            return Err(EvalError::Corrupt(format!(
-                "production {} does not derive {}",
-                prod.0,
-                g.symbol_name(state.sym)
-            )));
+        let p = match g.productions().get(prod.0 as usize) {
+            Some(p) if p.lhs == state.sym => p,
+            _ => {
+                return Err(EvalError::Corrupt(format!(
+                    "production {} does not derive {}",
+                    prod.0,
+                    g.symbol_name(state.sym)
+                )))
+            }
+        };
+        let mut frame = Frame {
+            children: vec![None; p.rhs.len()],
+            limb: Vec::new(),
+        };
+        if let Some(l) = p.limb {
+            frame.limb = vec![None; g.symbol(l).attrs.len()];
+            fill_slots(&mut frame.limb, l.0, prod_rec.values, g.attr_slots());
         }
         self.stats.meter.charge(prod_charged);
-
-        let rhs_len = g.production(prod).rhs.len();
-        let mut children: Vec<Option<NodeState>> = (0..rhs_len).map(|_| None).collect();
-        let mut locals: HashMap<AttrOcc, Value> = HashMap::new();
-        let plan = self.analysis.plans.plan(self.pass, prod);
         let mut charged_children = 0usize;
 
-        for step in &plan.steps {
+        for step in &self.analysis.plans.plan(self.pass, prod).steps {
             match *step {
                 Step::Get(i) => {
-                    let want = g.production(prod).rhs[i as usize];
+                    let want = p.rhs[i as usize];
                     // An elided terminal has no record in the input
-                    // file: materialize its (empty) state directly.
-                    if lt.elides(g, want, self.pass - 1) {
-                        children[i as usize] = Some(NodeState {
-                            sym: want,
-                            values: HashMap::new(),
-                            charged: 0,
-                        });
-                        continue;
+                    // file: its frame starts empty.
+                    let mut child = if lt.elides(g, want, self.pass - 1) {
+                        NodeState::empty(g, want)
+                    } else {
+                        let rec = reader.next()?.ok_or_else(|| {
+                            EvalError::Corrupt("APT file ended before child record".to_owned())
+                        })?;
+                        let child = NodeState::from_record(g, rec)?;
+                        if child.sym != want {
+                            return Err(EvalError::Corrupt(format!(
+                                "child {} of production {}: expected {}, found {}",
+                                i,
+                                prod.0,
+                                g.symbol_name(want),
+                                g.symbol_name(child.sym)
+                            )));
+                        }
+                        self.stats.meter.charge(child.charged);
+                        charged_children += child.charged;
+                        child
+                    };
+                    // Values this visit already defined for the child win
+                    // over the record's, as generated code's locals do.
+                    if let Some(early) = frame.children[i as usize].take() {
+                        for (slot, v) in child.values.iter_mut().zip(early.values) {
+                            if v.is_some() {
+                                *slot = v;
+                            }
+                        }
                     }
-                    let rec = reader.next()?.ok_or_else(|| {
-                        EvalError::Corrupt("APT file ended before child record".to_owned())
-                    })?;
-                    let child = NodeState::from_record(rec)?;
-                    if child.sym != want {
-                        return Err(EvalError::Corrupt(format!(
-                            "child {} of production {}: expected {}, found {}",
-                            i,
-                            prod.0,
-                            g.symbol_name(want),
-                            g.symbol_name(child.sym)
-                        )));
-                    }
-                    self.stats.meter.charge(child.charged);
-                    charged_children += child.charged;
-                    children[i as usize] = Some(child);
+                    frame.children[i as usize] = Some(child);
                 }
-                Step::Eval(r) => {
-                    self.eval_rule(r, prod, state, &children, &limb_vals, &mut locals)?;
-                }
+                Step::Eval(r) => self.eval_rule(r, state, &mut frame)?,
                 Step::Visit(i) => {
                     let saves = if self.check_globals {
-                        self.pre_visit_globals(prod, i, state, &children, &locals)?
+                        self.pre_visit_globals(prod, i, state, &frame)?
                     } else {
                         Vec::new()
                     };
-                    let mut child = children[i as usize]
+                    let mut child = frame.children[i as usize]
                         .take()
                         .ok_or_else(|| EvalError::Missing(format!("child {} state", i)))?;
-                    // This-pass inherited definitions must be visible to
-                    // the child's procedure (the paradigm's "eval inherited
-                    // attribs of Xi" happens before the visit).
-                    for (occ, v) in &locals {
-                        if occ.pos == OccPos::Rhs(i) {
-                            child.values.insert(occ.attr, v.clone());
-                        }
-                    }
                     self.visit(&mut child, reader, writer)?;
-                    children[i as usize] = Some(child);
                     if self.check_globals {
-                        self.post_visit_globals(prod, i, &children, saves);
+                        self.post_visit_globals(&child, saves);
                     }
+                    frame.children[i as usize] = Some(child);
                 }
                 Step::Put(i) => {
-                    let child = children[i as usize]
-                        .as_mut()
+                    let child = frame.children[i as usize]
+                        .as_ref()
                         .ok_or_else(|| EvalError::Missing(format!("child {} state", i)))?;
                     // Symmetric with Get: the next pass will not look
                     // for this record, so don't write it.
-                    if lt.elides(g, child.sym, self.pass) {
-                        continue;
+                    if !lt.elides(g, child.sym, self.pass) {
+                        writer.write(&self.record(child))?;
                     }
-                    // Merge this frame's definitions for the child into its
-                    // record before writing.
-                    for (occ, v) in &locals {
-                        if occ.pos == OccPos::Rhs(i) {
-                            child.values.insert(occ.attr, v.clone());
-                        }
-                    }
-                    let rec = {
-                        let mut values: Vec<(AttrId, Value)> = g
-                            .symbol(child.sym)
-                            .attrs
-                            .iter()
-                            .filter(|&&a| lt.alive_across(a, self.pass))
-                            .filter_map(|&a| child.values.get(&a).map(|v| (a, v.clone())))
-                            .collect();
-                        values.sort_by_key(|(a, _)| *a);
-                        Record {
-                            body: RecordBody::Sym(child.sym),
-                            values,
-                        }
-                    };
-                    writer.write(&rec)?;
                 }
             }
         }
 
-        // End zone: merge LHS and limb definitions, run the synthesized
-        // global protocol, write the production record. `locals` is dead
-        // after this merge, so the values *move* into their destination
-        // maps — no clone, which for list-valued attributes means no
-        // refcount churn on the cons spine.
-        for (occ, v) in locals {
-            match occ.pos {
-                OccPos::Lhs => {
-                    state.values.insert(occ.attr, v);
-                }
-                OccPos::Limb => {
-                    limb_vals.insert(occ.attr, v);
-                }
-                OccPos::Rhs(_) => {}
-            }
-        }
+        // End zone: run the synthesized global protocol, write the
+        // production record with the limb values alive across the
+        // boundary.
         if self.check_globals {
             self.end_globals(prod, state);
         }
-        {
-            let mut values: Vec<(AttrId, Value)> = g
-                .production(prod)
-                .limb
-                .map(|l| {
-                    g.symbol(l)
-                        .attrs
-                        .iter()
-                        .filter(|&&a| lt.alive_across(a, self.pass))
-                        .filter_map(|&a| limb_vals.get(&a).map(|v| (a, v.clone())))
-                        .collect()
-                })
-                .unwrap_or_default();
-            values.sort_by_key(|(a, _)| *a);
-            writer.write(&Record {
-                body: RecordBody::Prod(prod),
-                values,
-            })?;
-        }
+        let values = match p.limb {
+            Some(l) => collect_alive(&frame.limb, lt.layout(l, self.pass)),
+            None => Vec::new(),
+        };
+        writer.write(&Record {
+            body: RecordBody::Prod(prod),
+            values,
+        })?;
 
         self.stats.meter.release(charged_children + prod_charged);
         self.depth -= 1;
         Ok(())
     }
 
-    fn resolve(
-        &self,
-        occ: AttrOcc,
-        state: &NodeState,
-        children: &[Option<NodeState>],
-        limb_vals: &HashMap<AttrId, Value>,
-        locals: &HashMap<AttrOcc, Value>,
-    ) -> Result<Value, EvalError> {
-        if let Some(v) = locals.get(&occ) {
-            return Ok(v.clone());
-        }
+    fn resolve(&self, occ: AttrOcc, state: &NodeState, frame: &Frame) -> Result<Value, EvalError> {
         let g = &self.analysis.grammar;
-        let found = match occ.pos {
-            OccPos::Lhs => state.values.get(&occ.attr),
-            OccPos::Rhs(i) => children
+        let slots = match occ.pos {
+            OccPos::Lhs => Some(&state.values),
+            OccPos::Rhs(i) => frame
+                .children
                 .get(i as usize)
-                .and_then(|c| c.as_ref())
-                .and_then(|c| c.values.get(&occ.attr)),
-            OccPos::Limb => limb_vals.get(&occ.attr),
+                .and_then(Option::as_ref)
+                .map(|c| &c.values),
+            OccPos::Limb => Some(&frame.limb),
         };
-        found.cloned().ok_or_else(|| {
-            EvalError::Missing(format!(
-                "{} at {} (pass {})",
-                g.attr_name(occ.attr),
-                occ.pos,
-                self.pass
-            ))
-        })
+        slots
+            .and_then(|s| s.get(g.slot(occ.attr)))
+            .and_then(Option::as_ref)
+            .cloned()
+            .ok_or_else(|| {
+                EvalError::Missing(format!(
+                    "{} at {} (pass {})",
+                    g.attr_name(occ.attr),
+                    occ.pos,
+                    self.pass
+                ))
+            })
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn eval_rule(
         &mut self,
         rule: RuleId,
-        _prod: ProdId,
-        state: &NodeState,
-        children: &[Option<NodeState>],
-        limb_vals: &HashMap<AttrId, Value>,
-        locals: &mut HashMap<AttrOcc, Value>,
+        state: &mut NodeState,
+        frame: &mut Frame,
     ) -> Result<(), EvalError> {
-        let r = self.analysis.grammar.rule(rule);
+        let g = &self.analysis.grammar;
+        let r = g.rule(rule);
         let width = r.targets.len();
         let vals: Vec<Value> = match &r.expr {
             Expr::If {
                 branches,
                 otherwise,
             } if width > 1 => {
-                let arm =
-                    self.select_arm(branches, otherwise, state, children, limb_vals, locals)?;
+                let arm = self.select_arm(branches, otherwise, state, frame)?;
                 let mut out = Vec::with_capacity(width);
                 for e in arm {
-                    out.push(self.eval_expr(e, state, children, limb_vals, locals)?);
+                    out.push(self.eval_expr(e, state, frame)?);
                 }
                 out
             }
             expr => {
-                let v = self.eval_expr(expr, state, children, limb_vals, locals)?;
+                let v = self.eval_expr(expr, state, frame)?;
                 vec![v; width]
             }
         };
         for (t, v) in r.targets.iter().zip(vals) {
-            locals.insert(*t, v);
+            let slots = match t.pos {
+                OccPos::Lhs => &mut state.values,
+                OccPos::Rhs(i) => {
+                    &mut frame.children[i as usize]
+                        .get_or_insert_with(|| NodeState::empty(g, g.attr(t.attr).symbol))
+                        .values
+                }
+                OccPos::Limb => &mut frame.limb,
+            };
+            slots[g.slot(t.attr)] = Some(v);
         }
         self.rules_this_pass += 1;
         if let Some(probe) = &self.probe {
@@ -1088,12 +1069,10 @@ impl<'a> Machine<'a> {
         branches: &'e [(Expr, Vec<Expr>)],
         otherwise: &'e [Expr],
         state: &NodeState,
-        children: &[Option<NodeState>],
-        limb_vals: &HashMap<AttrId, Value>,
-        locals: &HashMap<AttrOcc, Value>,
+        frame: &Frame,
     ) -> Result<&'e [Expr], EvalError> {
         for (cond, arm) in branches {
-            let c = self.eval_expr(cond, state, children, limb_vals, locals)?;
+            let c = self.eval_expr(cond, state, frame)?;
             match c {
                 Value::Bool(true) => return Ok(arm),
                 Value::Bool(false) => continue,
@@ -1113,12 +1092,10 @@ impl<'a> Machine<'a> {
         &mut self,
         expr: &Expr,
         state: &NodeState,
-        children: &[Option<NodeState>],
-        limb_vals: &HashMap<AttrId, Value>,
-        locals: &HashMap<AttrOcc, Value>,
+        frame: &Frame,
     ) -> Result<Value, EvalError> {
         match expr {
-            Expr::Occ(o) => self.resolve(*o, state, children, limb_vals, locals),
+            Expr::Occ(o) => self.resolve(*o, state, frame),
             Expr::Int(i) => Ok(Value::Int(*i)),
             Expr::Bool(b) => Ok(Value::Bool(*b)),
             Expr::Str(s) => Ok(Value::str(s)),
@@ -1126,29 +1103,37 @@ impl<'a> Machine<'a> {
             Expr::Call { func, args } => {
                 let mut vals = Vec::with_capacity(args.len());
                 for a in args {
-                    vals.push(self.eval_expr(a, state, children, limb_vals, locals)?);
+                    vals.push(self.eval_expr(a, state, frame)?);
                 }
                 if let Some(probe) = &self.probe {
                     probe
                         .funcs_invoked
                         .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 }
-                let name = self.analysis.grammar.resolve(*func);
-                Ok(self.funcs.call(name, &vals)?)
+                let (g, funcs) = (&self.analysis.grammar, self.funcs);
+                let ix = func.index();
+                if ix >= self.callees.len() {
+                    self.callees.resize(ix + 1, None);
+                }
+                match *self.callees[ix].get_or_insert_with(|| funcs.get(g.resolve(*func))) {
+                    Some(f) => Ok(f(&vals)?),
+                    None => Err(EvalError::Func(FuncError::Unknown {
+                        name: g.resolve(*func).to_owned(),
+                    })),
+                }
             }
             Expr::Binop { op, lhs, rhs } => {
-                let a = self.eval_expr(lhs, state, children, limb_vals, locals)?;
-                let b = self.eval_expr(rhs, state, children, limb_vals, locals)?;
+                let a = self.eval_expr(lhs, state, frame)?;
+                let b = self.eval_expr(rhs, state, frame)?;
                 Ok(apply_binop(*op, a, b)?)
             }
             Expr::If {
                 branches,
                 otherwise,
             } => {
-                let arm =
-                    self.select_arm(branches, otherwise, state, children, limb_vals, locals)?;
+                let arm = self.select_arm(branches, otherwise, state, frame)?;
                 match arm {
-                    [single] => self.eval_expr(single, state, children, limb_vals, locals),
+                    [single] => self.eval_expr(single, state, frame),
                     _ => Err(EvalError::Corrupt(
                         "multi-expression arm outside a multi-target rule".to_owned(),
                     )),
@@ -1159,6 +1144,34 @@ impl<'a> Machine<'a> {
 
     // ---- static-subsumption global protocol ---------------------------
 
+    /// Whether `a` is a static attribute of class `class` computed in this
+    /// pass: the ones the protocol passes through the globals.
+    fn global_this_pass(&self, a: AttrId, class: AttrClass) -> bool {
+        self.analysis.grammar.attr(a).class == class
+            && self.analysis.passes.pass_of(a) == self.pass
+            && self.analysis.subsumption.is_static(a)
+    }
+
+    /// Whether the rule of `prod` defining `occ` was subsumed.
+    fn subsumed_def(&self, prod: ProdId, occ: AttrOcc) -> bool {
+        let g = &self.analysis.grammar;
+        g.production(prod)
+            .rules
+            .iter()
+            .find(|&&r| g.rule(r).targets.contains(&occ))
+            .is_some_and(|&r| self.analysis.subsumption.is_subsumed(r))
+    }
+
+    /// Verify that `group`'s global already holds `val`, re-capturing it
+    /// when it was clobbered.
+    fn check_global(&mut self, group: GroupId, val: &Value) {
+        self.stats.globals_checked += 1;
+        if self.globals.get(&group) != Some(val) {
+            self.stats.globals_repaired += 1;
+            self.globals.insert(group, val.clone());
+        }
+    }
+
     /// Before visiting child `i`: install this-pass inherited static
     /// values in the globals. Subsumed copies must already be there
     /// (verified); other definitions save the old value and set the new
@@ -1168,35 +1181,20 @@ impl<'a> Machine<'a> {
         prod: ProdId,
         i: u16,
         state: &NodeState,
-        children: &[Option<NodeState>],
-        locals: &HashMap<AttrOcc, Value>,
+        frame: &Frame,
     ) -> Result<Vec<(GroupId, Option<Value>)>, EvalError> {
         let g = &self.analysis.grammar;
-        let sub = &self.analysis.subsumption;
         let child_sym = g.production(prod).rhs[i as usize];
         let mut saves = Vec::new();
         for &a in &g.symbol(child_sym).attrs {
-            if g.attr(a).class != AttrClass::Inherited
-                || self.analysis.passes.pass_of(a) != self.pass
-                || !sub.is_static(a)
-            {
+            if !self.global_this_pass(a, AttrClass::Inherited) {
                 continue;
             }
             let occ = AttrOcc::rhs(i, a);
-            let val = self.resolve(occ, state, children, &HashMap::new(), locals)?;
-            let group = sub.group_of(a);
-            let def_subsumed = g
-                .production(prod)
-                .rules
-                .iter()
-                .find(|&&r| g.rule(r).targets.contains(&occ))
-                .is_some_and(|&r| sub.is_subsumed(r));
-            if def_subsumed {
-                self.stats.globals_checked += 1;
-                if self.globals.get(&group) != Some(&val) {
-                    self.stats.globals_repaired += 1;
-                    self.globals.insert(group, val);
-                }
+            let val = self.resolve(occ, state, frame)?;
+            let group = self.analysis.subsumption.group_of(a);
+            if self.subsumed_def(prod, occ) {
+                self.check_global(group, &val);
             } else {
                 saves.push((group, self.globals.insert(group, val)));
             }
@@ -1204,33 +1202,14 @@ impl<'a> Machine<'a> {
         Ok(saves)
     }
 
-    /// After visiting child `i`: verify the child's this-pass synthesized
-    /// static values arrived in the globals, then restore what we saved.
-    fn post_visit_globals(
-        &mut self,
-        prod: ProdId,
-        i: u16,
-        children: &[Option<NodeState>],
-        saves: Vec<(GroupId, Option<Value>)>,
-    ) {
+    /// After visiting a child: verify its this-pass synthesized static
+    /// values arrived in the globals, then restore what we saved.
+    fn post_visit_globals(&mut self, child: &NodeState, saves: Vec<(GroupId, Option<Value>)>) {
         let g = &self.analysis.grammar;
-        let sub = &self.analysis.subsumption;
-        let child_sym = g.production(prod).rhs[i as usize];
-        if let Some(child) = children[i as usize].as_ref() {
-            for &a in &g.symbol(child_sym).attrs {
-                if g.attr(a).class != AttrClass::Synthesized
-                    || self.analysis.passes.pass_of(a) != self.pass
-                    || !sub.is_static(a)
-                {
-                    continue;
-                }
-                if let Some(val) = child.values.get(&a) {
-                    let group = sub.group_of(a);
-                    self.stats.globals_checked += 1;
-                    if self.globals.get(&group) != Some(val) {
-                        self.stats.globals_repaired += 1;
-                        self.globals.insert(group, val.clone());
-                    }
+        for &a in &g.symbol(child.sym).attrs {
+            if self.global_this_pass(a, AttrClass::Synthesized) {
+                if let Some(val) = &child.values[g.slot(a)] {
+                    self.check_global(self.analysis.subsumption.group_of(a), val);
                 }
             }
         }
@@ -1247,31 +1226,16 @@ impl<'a> Machine<'a> {
     /// the value should already be there (verified).
     fn end_globals(&mut self, prod: ProdId, state: &NodeState) {
         let g = &self.analysis.grammar;
-        let sub = &self.analysis.subsumption;
         for &a in &g.symbol(state.sym).attrs {
-            if g.attr(a).class != AttrClass::Synthesized
-                || self.analysis.passes.pass_of(a) != self.pass
-                || !sub.is_static(a)
-            {
+            if !self.global_this_pass(a, AttrClass::Synthesized) {
                 continue;
             }
-            let Some(val) = state.values.get(&a) else {
+            let Some(val) = &state.values[g.slot(a)] else {
                 continue;
             };
-            let group = sub.group_of(a);
-            let occ = AttrOcc::lhs(a);
-            let def_subsumed = g
-                .production(prod)
-                .rules
-                .iter()
-                .find(|&&r| g.rule(r).targets.contains(&occ))
-                .is_some_and(|&r| sub.is_subsumed(r));
-            if def_subsumed {
-                self.stats.globals_checked += 1;
-                if self.globals.get(&group) != Some(val) {
-                    self.stats.globals_repaired += 1;
-                    self.globals.insert(group, val.clone());
-                }
+            let group = self.analysis.subsumption.group_of(a);
+            if self.subsumed_def(prod, AttrOcc::lhs(a)) {
+                self.check_global(group, val);
             } else {
                 self.globals.insert(group, val.clone());
             }

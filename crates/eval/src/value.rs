@@ -26,6 +26,14 @@ use std::sync::Arc;
 /// just grow as their items arrive.
 const DECODE_RESERVE_CAP: usize = 4096;
 
+/// Deepest collection nesting [`Value::decode`] accepts: the most list,
+/// set and map headers on one path from the outer value inward. The
+/// decoder recurses once per header, and a header is five bytes, so
+/// without a bound a short input could exhaust the stack; a value at the
+/// bound decodes (and drops) on a 2 MB worker thread even in a debug
+/// build.
+pub const MAX_DECODE_DEPTH: usize = 512;
+
 /// Bytes a [`Str`] can hold inline before spilling to the heap. The
 /// `Heap(Arc<str>)` variant already forces the enum to 24 bytes (fat
 /// pointer + discriminant), so the inline buffer uses the full payload
@@ -236,8 +244,14 @@ impl Value {
     ///
     /// # Errors
     ///
-    /// Returns [`DecodeError`] on truncated or malformed input.
+    /// Returns [`DecodeError`] on truncated or malformed input, including
+    /// collections nested deeper than [`MAX_DECODE_DEPTH`].
     pub fn decode(buf: &[u8], pos: &mut usize) -> Result<Value, DecodeError> {
+        Value::decode_within(buf, pos, MAX_DECODE_DEPTH)
+    }
+
+    /// [`Value::decode`] with room for `depth` more collection headers.
+    fn decode_within(buf: &[u8], pos: &mut usize, depth: usize) -> Result<Value, DecodeError> {
         let tag = *buf.get(*pos).ok_or(DecodeError { at: *pos })?;
         *pos += 1;
         let take = |pos: &mut usize, n: usize| -> Result<&[u8], DecodeError> {
@@ -266,7 +280,9 @@ impl Value {
                 let s = std::str::from_utf8(bytes).map_err(|_| DecodeError { at: *pos })?;
                 Ok(Value::str(s))
             }
+            4..=6 if depth == 0 => Err(DecodeError { at: *pos - 1 }),
             4..=6 => {
+                let depth = depth - 1;
                 let b: [u8; 4] = take(pos, 4)?.try_into().expect("sized");
                 let n = u32::from_le_bytes(b) as usize;
                 let reserve = n.min(DECODE_RESERVE_CAP);
@@ -274,7 +290,7 @@ impl Value {
                     4 => {
                         let mut items = Vec::with_capacity(reserve);
                         for _ in 0..n {
-                            items.push(Value::decode(buf, pos)?);
+                            items.push(Value::decode_within(buf, pos, depth)?);
                         }
                         Ok(Value::List(items.into_iter().collect()))
                     }
@@ -283,15 +299,15 @@ impl Value {
                         // membership (order is irrelevant for equality).
                         let mut items = Vec::with_capacity(reserve);
                         for _ in 0..n {
-                            items.push(Value::decode(buf, pos)?);
+                            items.push(Value::decode_within(buf, pos, depth)?);
                         }
                         Ok(Value::Set(items.into_iter().collect()))
                     }
                     _ => {
                         let mut pairs = Vec::with_capacity(reserve);
                         for _ in 0..n {
-                            let k = Value::decode(buf, pos)?;
-                            let v = Value::decode(buf, pos)?;
+                            let k = Value::decode_within(buf, pos, depth)?;
+                            let v = Value::decode_within(buf, pos, depth)?;
                             pairs.push((k, v));
                         }
                         // Iteration order is newest-binding-first; rebind in
@@ -516,6 +532,32 @@ mod tests {
                 b
             );
         }
+    }
+
+    /// `headers` nested one-item lists, the innermost empty.
+    fn nested_lists(headers: usize) -> Vec<u8> {
+        let mut buf = [4u8, 1, 0, 0, 0].repeat(headers - 1);
+        buf.extend_from_slice(&[4, 0, 0, 0, 0]);
+        buf
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded_on_a_worker_stack() {
+        // `thread::spawn`'s default stack is what batch and serve
+        // workers run on.
+        std::thread::spawn(|| {
+            let at_cap = nested_lists(MAX_DECODE_DEPTH);
+            let mut pos = 0;
+            assert!(Value::decode(&at_cap, &mut pos).is_ok());
+            assert_eq!(pos, at_cap.len());
+            for headers in [MAX_DECODE_DEPTH + 1, 100_000] {
+                let mut pos = 0;
+                let err = Value::decode(&nested_lists(headers), &mut pos).unwrap_err();
+                assert_eq!(err.at, 5 * MAX_DECODE_DEPTH, "{} headers", headers);
+            }
+        })
+        .join()
+        .expect("decoding stays within the thread's stack");
     }
 
     #[test]

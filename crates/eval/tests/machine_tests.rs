@@ -7,8 +7,8 @@ use linguist_ag::expr::{BinOp, Expr};
 use linguist_ag::grammar::{AgBuilder, Grammar};
 use linguist_ag::ids::{AttrOcc, ProdId};
 use linguist_ag::passes::{Direction, PassConfig};
-use linguist_eval::funcs::Funcs;
-use linguist_eval::machine::{evaluate, EvalOptions, Strategy};
+use linguist_eval::funcs::{FuncError, Funcs};
+use linguist_eval::machine::{evaluate, EvalError, EvalOptions, Strategy};
 use linguist_eval::tree::PTree;
 use linguist_eval::value::Value;
 
@@ -557,6 +557,24 @@ fn external_functions_flow_through_sets() {
     )
     .unwrap();
     assert_eq!(r.output(&analysis, "N"), Some(&Value::Int(3)));
+
+    // Calls bind through the registry passed in, not the builtin table:
+    // a re-registered function is the one that runs, and a missing one
+    // fails with the grammar's spelling of its name.
+    let mut funcs = Funcs::standard();
+    funcs.register("setsize", |_| Ok(Value::Int(-1)));
+    let r = evaluate(&analysis, &funcs, &tree, &options(Strategy::BottomUp)).unwrap();
+    assert_eq!(r.output(&analysis, "N"), Some(&Value::Int(-1)));
+    let mut funcs = Funcs::new();
+    funcs.register("UnionSetof", |a| Funcs::standard().call("UnionSetof", a));
+    funcs.register("EmptySet", |a| Funcs::standard().call("EmptySet", a));
+    match evaluate(&analysis, &funcs, &tree, &options(Strategy::BottomUp)) {
+        Err(EvalError::Func(FuncError::Unknown { name })) => assert_eq!(name, "SetSize"),
+        other => panic!(
+            "expected an unknown-function error, got {:?}",
+            other.map(|_| ())
+        ),
+    }
 }
 
 #[test]

@@ -30,7 +30,8 @@
 //! (`globals_repaired == 0`) on the sequential baseline.
 //!
 //! Failing cases can be shrunk with [`minimize`] (budget halving, then
-//! whole-production removal at the source level) and persisted as
+//! whole-production removal at the source level) under a [`reproduces`]
+//! predicate and persisted as
 //! replayable corpus fixtures with [`persist_fixture`] /
 //! [`load_fixture`].
 //!
@@ -578,6 +579,24 @@ pub fn minimize(
     }
 }
 
+/// Whether a shrink candidate still shows the failure being minimized,
+/// for use in a [`minimize`] predicate. `probe` is the candidate's
+/// [`run_case`] result and `mode` the mode of the original's first
+/// divergence. Leg 1, the sequential baseline, must still run: a
+/// candidate that breaks it (it no longer analyzes into a tree that
+/// evaluates) fails in a different, usually trivial, way. And a
+/// divergence in the same mode must recur, instance indices aside
+/// (`resume[2]` matches `resume[1]`). A failure of leg 1 itself therefore
+/// never shrinks.
+pub fn reproduces(probe: Result<&CaseResult, &Divergence>, mode: &str) -> bool {
+    let family = |m: &str| m.split('[').next().unwrap_or_default().to_owned();
+    probe.is_ok_and(|r| {
+        r.divergences
+            .iter()
+            .any(|d| family(&d.mode) == family(mode))
+    })
+}
+
 /// Line ranges (inclusive) of each `prod … end` block in printed source.
 fn prod_blocks(source: &str) -> Vec<(usize, usize)> {
     let lines: Vec<&str> = source.lines().collect();
@@ -680,6 +699,28 @@ end
         // the grammar must keep analyzing (bq would lose its only
         // derivation), so the minimizer must keep the source analyzable.
         assert!(analyze(&src, &faithful()).is_ok());
+    }
+
+    #[test]
+    fn minimize_keeps_the_baseline_green_and_the_mode() {
+        let dir = scratch("reproduces");
+        let mut r = run_case(TWO_PASS, 16, &dir).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let broken = failure("baseline", "synthesize_tree returned no tree".into());
+        assert!(!reproduces(Ok(&r), "resume[1]"), "no divergence recurs");
+        r.divergences
+            .push(failure("resume[2]", "outputs differ".into()));
+        assert!(reproduces(Ok(&r), "resume[1]"));
+        assert!(!reproduces(Ok(&r), "parallel[0]"), "another mode");
+        assert!(!reproduces(Err(&broken), "resume[1]"), "leg 1 broke");
+        // Below budget 8 the candidate's baseline breaks. Counting that
+        // as still failing would shrink the budget to 2.
+        let fails = |_: &str, budget: usize| {
+            let probe = if budget < 8 { Err(&broken) } else { Ok(&r) };
+            reproduces(probe, "resume[1]")
+        };
+        let (_, budget) = minimize(TWO_PASS, 32, &fails);
+        assert_eq!(budget, 8);
     }
 
     #[test]

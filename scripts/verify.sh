@@ -6,7 +6,9 @@
 # Steps (all must pass):
 #   1. formatting check
 #   2. release build of the whole workspace
-#   3. tier-1 test suite (root package integration tests)
+#   3. tier-1 test suite (the workspace's default members: the root
+#      package's integration tests plus the ag, eval, codegen and
+#      frontend crates' unit and integration tests)
 #   4. full workspace test suite (every crate + vendored shims)
 #   5. clippy, warnings denied
 #   6. --profile=json smoke test: the CLI's JSON output must parse

@@ -11,7 +11,8 @@
 //!   correctly framed file (valid header, valid CRCs): a list, set or map
 //!   count of 2^32 - 1, an unknown symbol or production id, an attribute
 //!   id past every table, non-set values in the attribute slots where
-//!   set builtins read, and trailing bytes after the record.
+//!   set builtins read, lists nested 10,001 deep, and trailing bytes
+//!   after the record.
 //!
 //! Each call must return `Err` or the unmodified input's exact output —
 //! never panic, never abort.
@@ -214,6 +215,15 @@ fn mutations(analysis: &Analysis, payload: &[u8]) -> Vec<(String, Vec<u8>)> {
     out.push((
         "attribute id past every table".into(),
         with_value(payload, u32::MAX, &encoded(&Value::Int(1))),
+    ));
+    // Lists nested far past `Value::decode`'s depth bound: 50 KB that
+    // overflow a worker thread's stack under an unbounded recursive
+    // decoder.
+    let mut deep = [4u8, 1, 0, 0, 0].repeat(10_000);
+    deep.extend_from_slice(&[4, 0, 0, 0, 0]);
+    out.push((
+        "lists nested 10,001 deep".into(),
+        with_value(payload, 0, &deep),
     ));
     let mut trailing = payload.to_vec();
     trailing.extend_from_slice(&[0, 0, 0]);

@@ -14,7 +14,9 @@
 //! inside [`run_case`]).
 //!
 //! Any divergence is minimized (budget halving + whole-production
-//! removal) and persisted as a replayable fixture under `tests/corpus/`;
+//! removal, while the sequential baseline stays green and the first
+//! divergence's mode recurs) and persisted as a replayable fixture under
+//! `tests/corpus/`;
 //! the companion test replays every fixture in that directory so a bug,
 //! once caught, stays caught.
 //!
@@ -33,8 +35,8 @@ use linguist_eval::aptfile::AptWriter;
 use linguist_eval::machine::Strategy;
 use linguist_frontend::check_source;
 use linguist_frontend::differential::{
-    encoded_outputs, faithful, load_fixture, minimize, persist_fixture, run_case, strategy_for,
-    CaseResult,
+    encoded_outputs, faithful, load_fixture, minimize, persist_fixture, reproduces, run_case,
+    strategy_for, CaseResult,
 };
 use linguist_grammars::synth::{realize, shape_strategy, ShapedGrammar};
 use linguist_serve::client::Client;
@@ -236,29 +238,39 @@ fn check_divergences(source: &str) -> Vec<String> {
 // One case through all four modes + the check oracle.
 // ---------------------------------------------------------------------------
 
-fn oracle(source: &str, name: &str, budget: usize, scratch: &Path) -> Vec<String> {
+/// The divergence messages, and the mode of the first: a local mode,
+/// else `serve` (which covers the check oracle too).
+fn oracle(source: &str, name: &str, budget: usize, scratch: &Path) -> (String, Vec<String>) {
     match run_case(source, budget, scratch) {
-        Err(d) => vec![d.to_string()],
+        Err(d) => (d.mode.clone(), vec![d.to_string()]),
         Ok(r) => {
+            let mode = r
+                .divergences
+                .first()
+                .map_or("serve", |d| &d.mode)
+                .to_owned();
             let mut msgs: Vec<String> = r.divergences.iter().map(|d| d.to_string()).collect();
             msgs.extend(serve_divergences(source, name, budget, &r));
             msgs.extend(check_divergences(source));
-            msgs
+            (mode, msgs)
         }
     }
 }
 
-/// Shrink a divergent case against the local three-mode oracle and pin
-/// it into the corpus; serve-only divergences persist unshrunk (the
-/// local probe won't reproduce them, so `minimize` keeps the source).
-fn fail_case(sg: &ShapedGrammar, msgs: &[String]) -> ! {
+/// Shrink a divergent case and pin it into the corpus. A candidate
+/// counts as still failing only while leg 1 stays green and a divergence
+/// in `mode`, the original's first, recurs (`reproduces`); a
+/// compiled-leg failure probes with the compiled leg. Serve and check
+/// divergences persist unshrunk: the local probe never reproduces them.
+fn fail_case(sg: &ShapedGrammar, mode: &str, msgs: &[String]) -> ! {
     let probe_root = scratch_dir("minimize");
     let still_fails = |src: &str, budget: usize| -> bool {
         let dir = probe_root.join("probe");
         let _ = std::fs::remove_dir_all(&dir);
-        match run_case(src, budget, &dir) {
-            Err(_) => true,
-            Ok(r) => !r.divergences.is_empty(),
+        let probe = run_case(src, budget, &dir);
+        match (&probe, mode) {
+            (Ok(r), "compiled") => !compiled_divergences(&sg.name, r).is_empty(),
+            _ => reproduces(probe.as_ref(), mode),
         }
     };
     let (min_src, min_budget) = minimize(&sg.source, sg.params.budget, &still_fails);
@@ -284,10 +296,10 @@ proptest! {
     fn generated_grammars_agree_across_all_four_modes(params in shape_strategy()) {
         let sg = realize(&params);
         let scratch = scratch_dir("case");
-        let msgs = oracle(&sg.source, &sg.name, sg.params.budget, &scratch);
+        let (mode, msgs) = oracle(&sg.source, &sg.name, sg.params.budget, &scratch);
         let _ = std::fs::remove_dir_all(&scratch);
         if !msgs.is_empty() {
-            fail_case(&sg, &msgs);
+            fail_case(&sg, &mode, &msgs);
         }
     }
 }
@@ -421,7 +433,7 @@ fn corpus_fixtures_replay_clean() {
             .expect("fixture has a utf-8 stem")
             .to_owned();
         let scratch = scratch_dir("corpus");
-        let msgs = oracle(&source, &name, budget, &scratch);
+        let (_, msgs) = oracle(&source, &name, budget, &scratch);
         let _ = std::fs::remove_dir_all(&scratch);
         assert!(
             msgs.is_empty(),
@@ -576,16 +588,17 @@ proptest! {
         let scratch = scratch_dir("compiled-case");
         let result = run_case(&sg.source, sg.params.budget, &scratch);
         let _ = std::fs::remove_dir_all(&scratch);
-        let msgs: Vec<String> = match result {
-            Err(d) => vec![d.to_string()],
+        let (mode, msgs) = match result {
+            Err(d) => (d.mode.clone(), vec![d.to_string()]),
             Ok(r) => {
+                let mode = r.divergences.first().map_or("compiled", |d| &d.mode).to_owned();
                 let mut msgs: Vec<String> = r.divergences.iter().map(|d| d.to_string()).collect();
                 msgs.extend(compiled_divergences(&sg.name, &r));
-                msgs
+                (mode, msgs)
             }
         };
         if !msgs.is_empty() {
-            fail_case(&sg, &msgs);
+            fail_case(&sg, &mode, &msgs);
         }
     }
 }
