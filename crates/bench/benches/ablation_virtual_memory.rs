@@ -69,7 +69,8 @@ fn main() {
     }
     println!(
         "\n(1982's answer would have been dramatic — floppy seeks vs RAM; on a modern OS the \
-         page cache already absorbs most of the file traffic, so the residual speedup is the \
-         per-record syscall cost)"
+         page cache already absorbs the file traffic and the reader fetches it a 64 KiB window \
+         at a time, so the residual speedup is the per-evaluation cost of the temp directory \
+         and its files)"
     );
 }

@@ -21,7 +21,7 @@
 //! before timing starts, so the snapshot can't report speedups for an
 //! engine that disagrees. The snapshot lands in
 //! `target/BENCH_compiled_vs_interpreted.json`; the repo root carries a
-//! committed copy with the measured single-core CI numbers.
+//! committed copy, whose note names the measuring host's core count.
 
 use linguist_ag::passes::Direction;
 use linguist_bench::{rule, write_snapshot};
@@ -147,16 +147,18 @@ fn main() {
         "  geomean aot speedup: {:.1}× vs memory-backed, {:.1}× vs file-backed",
         geomean, geomean_files
     );
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
         "{{\"budget\":{},\"iters\":{},\"aot_speedup_geomean\":{:.2},\
          \"aot_speedup_vs_files_geomean\":{:.2},\
-         \"note\":\"single-core CI box; serve-shaped warm jobs (profile on); interpreted_us is \
+         \"note\":\"{}-core host; serve-shaped warm jobs (profile on); interpreted_us is \
          the serve tier's memory-backed fast path, file_interpreted_us the paper-faithful \
          disk-backed default; aot_us includes per-job APT framing at the ABI boundary\",\"rows\":[{}]}}",
         BUDGET,
         ITERS,
         geomean,
         geomean_files,
+        cores,
         rows.iter()
             .map(|(r, _, _)| r.as_str())
             .collect::<Vec<_>>()

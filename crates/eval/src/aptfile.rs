@@ -13,12 +13,15 @@
 //! [len: u32][payload: len bytes][crc32: u32][len: u32]
 //! ```
 //!
-//! A forward reader consumes the leading length; a backward reader seeks
-//! from the end and consumes the trailing one. Records carry either a
-//! symbol node (leaf or interior) or a production node (the paper's limb
-//! record, which also tells the visiting procedure *which* production
-//! applies — "to synchronize the identification of productions with the
-//! parser").
+//! A forward reader consumes the leading length; a backward reader starts
+//! at the end and consumes the trailing one. Either way a file is read
+//! through one fixed window that refills towards the read direction, so
+//! a pass costs one read per 64 KiB, not several per record, and a
+//! reader holds at most the window plus its largest frame. Records carry
+//! either a symbol node (leaf or interior) or a production node (the
+//! paper's limb record, which also tells the visiting procedure *which*
+//! production applies — "to synchronize the identification of
+//! productions with the parser").
 //!
 //! Because the APT lives on secondary storage between passes, each
 //! boundary file is also a *checkpoint*: the per-record CRCs plus a
@@ -33,13 +36,14 @@ use crate::crc;
 use crate::metrics::IoCounters;
 use crate::value::{DecodeError, Value};
 use linguist_ag::ids::{AttrId, ProdId, SymbolId};
+use std::cell::Cell;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Magic bytes opening every intermediate APT file.
 const MAGIC: [u8; 4] = *b"APT1";
@@ -712,9 +716,6 @@ pub enum ReadDir {
 #[derive(Debug)]
 pub struct AptReader {
     src: Source,
-    /// Payload buffer for a file source (a shared source lends its
-    /// bytes directly), reused across records.
-    payload: Vec<u8>,
     path: Option<PathBuf>,
     pos: u64,
     end: u64,
@@ -727,54 +728,103 @@ pub struct AptReader {
     fault: Option<FaultSpec>,
 }
 
+/// Bytes a file-backed reader reads per refill, and so the most it holds
+/// at once apart from a single frame larger than this.
+const WINDOW: usize = 64 * 1024;
+
+/// A window of a file's bytes that frames decode from in place.
+///
+/// A file source refills its window towards the read direction, so a
+/// sequential pass costs one read per [`WINDOW`] bytes rather than
+/// several per record. A sealed shared buffer is a window that already
+/// covers the whole file and never refills: records decode straight from
+/// it with no lock and no copy (the `Arc` is cloned once per pass, when
+/// the store hands out the reader, never per record).
 #[derive(Debug)]
-enum Source {
-    File(File),
-    /// A sealed boundary buffer shared immutably: records decode straight
-    /// from the buffer, with no lock and no copy — the shared-nothing hot
-    /// path. The `Arc` is cloned once per pass (when the store hands out
-    /// the reader), never per record.
-    Shared(Arc<Vec<u8>>),
+struct Source {
+    /// Where refills come from; `None` for a shared buffer.
+    file: Option<File>,
+    /// The bytes held: `window[i]` is file byte `base + i`. Owned solely
+    /// by this source when `file` is set.
+    window: Arc<Vec<u8>>,
+    base: u64,
+    /// File length.
+    len: u64,
 }
 
 impl Source {
-    /// The `len` bytes at `pos`: borrowed from a shared buffer, or read
-    /// from a file into `scratch`.
-    fn bytes_at<'a>(
-        &'a mut self,
-        pos: u64,
-        len: usize,
-        scratch: &'a mut Vec<u8>,
-    ) -> Result<&'a [u8], AptError> {
-        match self {
-            Source::Shared(b) => {
-                let start = pos as usize;
-                b.get(start..start + len).ok_or(AptError::Frame { at: pos })
-            }
-            Source::File(_) => {
-                scratch.resize(len, 0);
-                self.read_at(pos, scratch)?;
-                Ok(scratch)
-            }
+    fn file(file: File) -> Result<Source, AptError> {
+        let len = file.metadata()?.len();
+        Ok(Source {
+            file: Some(file),
+            window: Arc::default(),
+            base: 0,
+            len,
+        })
+    }
+
+    fn shared(buf: Arc<Vec<u8>>) -> Source {
+        Source {
+            file: None,
+            len: buf.len() as u64,
+            window: buf,
+            base: 0,
         }
     }
 
-    fn read_at(&mut self, pos: u64, out: &mut [u8]) -> Result<(), AptError> {
-        match self {
-            Source::File(f) => {
-                f.seek(SeekFrom::Start(pos))?;
-                f.read_exact(out)?;
-                Ok(())
-            }
-            Source::Shared(b) => {
-                let start = pos as usize;
-                let slice = b
-                    .get(start..start + out.len())
-                    .ok_or(AptError::Frame { at: pos })?;
-                out.copy_from_slice(slice);
-                Ok(())
-            }
+    /// The `len` bytes at `pos`, refilling the window if it does not hold
+    /// them: forwards the new window starts at `pos`, backwards it ends
+    /// at `pos + len`. It spans [`WINDOW`] bytes, or the whole range when
+    /// that is longer, clipped to the file.
+    fn bytes_at(&mut self, pos: u64, len: usize, dir: ReadDir) -> Result<&[u8], AptError> {
+        let end = pos + len as u64;
+        if end > self.len {
+            return Err(AptError::Frame { at: pos });
         }
+        if pos < self.base || end > self.base + self.window.len() as u64 {
+            let span = len.max(WINDOW) as u64;
+            let (from, to) = match dir {
+                ReadDir::Forward => (pos, (pos + span).min(self.len)),
+                ReadDir::Backward => (end.saturating_sub(span), end),
+            };
+            let file = self
+                .file
+                .as_mut()
+                .expect("a shared window covers the whole file");
+            let buf = Arc::get_mut(&mut self.window).expect("a file window is never shared");
+            let n = (to - from) as usize;
+            // Exact, so capacity stays within the largest span ever read.
+            buf.reserve_exact(n.saturating_sub(buf.len()));
+            buf.resize(n, 0);
+            let read = file
+                .seek(SeekFrom::Start(from))
+                .and_then(|_| file.read_exact(buf));
+            if let Err(e) = read {
+                buf.clear();
+                return Err(e.into());
+            }
+            self.base = from;
+        }
+        let at = (pos - self.base) as usize;
+        Ok(&self.window[at..at + len])
+    }
+
+    /// The little-endian `u32` at `pos`.
+    fn u32_at(&mut self, pos: u64, dir: ReadDir) -> Result<u32, AptError> {
+        let b = self.bytes_at(pos, 4, dir)?;
+        Ok(u32::from_le_bytes(b.try_into().expect("sized")))
+    }
+
+    /// Read and validate the header, returning `(body end offset, total
+    /// records, total bytes)`. The first window then also holds the first
+    /// records, or the whole file when it is smaller than the window.
+    fn header(&mut self) -> Result<(u64, u64, u64), AptError> {
+        if self.len < HEADER_LEN {
+            return Err(AptError::Header(HeaderError::Truncated { len: self.len }));
+        }
+        let len = self.len;
+        let head = self.bytes_at(0, HEADER_LEN as usize, ReadDir::Forward)?;
+        check_header(head, len)
     }
 }
 
@@ -833,35 +883,10 @@ impl AptReader {
     /// [`finish`](AptWriter::finish)ed — is rejected here rather than
     /// read as empty). Every error carries `path`.
     pub fn open(path: &Path, dir: ReadDir) -> Result<AptReader, AptError> {
-        let inner = || -> Result<AptReader, AptError> {
-            let mut file = File::open(path)?;
-            let len = file.metadata()?.len();
-            if len < HEADER_LEN {
-                return Err(AptError::Header(HeaderError::Truncated { len }));
-            }
-            let mut head = [0u8; HEADER_LEN as usize];
-            file.seek(SeekFrom::Start(0))?;
-            file.read_exact(&mut head)?;
-            let (end, total_records, total_bytes) = check_header(&head, len)?;
-            Ok(AptReader {
-                src: Source::File(file),
-                payload: Vec::new(),
-                path: Some(path.to_path_buf()),
-                pos: match dir {
-                    ReadDir::Forward => HEADER_LEN,
-                    ReadDir::Backward => end,
-                },
-                end,
-                dir,
-                bytes: 0,
-                records: 0,
-                total_records,
-                total_bytes,
-                profile: None,
-                fault: None,
-            })
-        };
-        inner().map_err(|e| e.in_file(path))
+        let inner = || AptReader::with_source(Source::file(File::open(path)?)?, dir);
+        let mut reader = inner().map_err(|e| e.in_file(path))?;
+        reader.path = Some(path.to_path_buf());
+        Ok(reader)
     }
 
     /// Open a sealed, immutably shared boundary buffer for reading in
@@ -875,14 +900,13 @@ impl AptReader {
     /// Returns [`AptError::Header`] under the same conditions as
     /// [`open`](Self::open).
     pub fn open_shared(buf: Arc<Vec<u8>>, dir: ReadDir) -> Result<AptReader, AptError> {
-        let len = buf.len() as u64;
-        if len < HEADER_LEN {
-            return Err(AptError::Header(HeaderError::Truncated { len }));
-        }
-        let (end, total_records, total_bytes) = check_header(&buf[..HEADER_LEN as usize], len)?;
+        AptReader::with_source(Source::shared(buf), dir)
+    }
+
+    fn with_source(mut src: Source, dir: ReadDir) -> Result<AptReader, AptError> {
+        let (end, total_records, total_bytes) = src.header()?;
         Ok(AptReader {
-            src: Source::Shared(buf),
-            payload: Vec::new(),
+            src,
             path: None,
             pos: match dir {
                 ReadDir::Forward => HEADER_LEN,
@@ -936,25 +960,19 @@ impl AptReader {
         if let Some(fault) = &self.fault {
             fault.fire(self.records)?;
         }
-        // The frame's start and payload length, and where the reader
-        // stands after it.
-        let (start, len, next) = match self.dir {
+        let dir = self.dir;
+        // The frame's start and payload length, from the length field on
+        // the reading side.
+        let (start, len) = match dir {
             ReadDir::Forward => {
                 if self.pos >= self.end {
                     return Ok(None);
                 }
-                let mut len4 = [0u8; 4];
-                self.src.read_at(self.pos, &mut len4)?;
-                let len = u32::from_le_bytes(len4) as u64;
+                let len = self.src.u32_at(self.pos, dir)? as u64;
                 if self.pos + FRAME_OVERHEAD + len > self.end {
                     return Err(AptError::Frame { at: self.pos });
                 }
-                let mut trail = [0u8; 4];
-                self.src.read_at(self.pos + 8 + len, &mut trail)?;
-                if trail != len4 {
-                    return Err(AptError::Frame { at: self.pos });
-                }
-                (self.pos, len, self.pos + FRAME_OVERHEAD + len)
+                (self.pos, len)
             }
             ReadDir::Backward => {
                 if self.pos == HEADER_LEN {
@@ -963,35 +981,23 @@ impl AptReader {
                 if self.pos < HEADER_LEN + FRAME_OVERHEAD {
                     return Err(AptError::Frame { at: self.pos });
                 }
-                let mut len4 = [0u8; 4];
-                self.src.read_at(self.pos - 4, &mut len4)?;
-                let len = u32::from_le_bytes(len4) as u64;
+                let len = self.src.u32_at(self.pos - 4, dir)? as u64;
                 if self.pos < HEADER_LEN + FRAME_OVERHEAD + len {
                     return Err(AptError::Frame { at: self.pos });
                 }
-                let start = self.pos - FRAME_OVERHEAD - len;
-                let mut lead = [0u8; 4];
-                self.src.read_at(start, &mut lead)?;
-                if lead != len4 {
-                    return Err(AptError::Frame { at: self.pos });
-                }
-                (start, len, start)
+                (self.pos - FRAME_OVERHEAD - len, len)
             }
         };
-        let rec = self.read_frame(start, len)?;
-        self.pos = next;
-        Ok(Some(rec))
-    }
-
-    /// Check and decode the frame at `start` with payload length `len`
-    /// (both length fields already validated), and count it.
-    fn read_frame(&mut self, start: u64, len: u64) -> Result<Record, AptError> {
-        let mut crc4 = [0u8; 4];
-        self.src.read_at(start + 4 + len, &mut crc4)?;
-        let payload = self
-            .src
-            .bytes_at(start + 4, len as usize, &mut self.payload)?;
-        let expected = u32::from_le_bytes(crc4);
+        // `[len][payload][crc32][len]`, decoded in place.
+        let framed = FRAME_OVERHEAD + len;
+        let frame = self.src.bytes_at(start, framed as usize, dir)?;
+        let (lead, rest) = frame.split_at(4);
+        let (payload, rest) = rest.split_at(len as usize);
+        let (crc4, trail) = rest.split_at(4);
+        if lead != trail {
+            return Err(AptError::Frame { at: self.pos });
+        }
+        let expected = u32::from_le_bytes(crc4.try_into().expect("sized"));
         let found = crc::crc32(payload);
         if expected != found {
             return Err(AptError::Checksum {
@@ -1000,13 +1006,28 @@ impl AptReader {
                 found,
             });
         }
-        let framed = FRAME_OVERHEAD + len;
         self.bytes += framed;
         self.records += 1;
         if let Some(p) = &self.profile {
             p.add_record(framed);
         }
-        Record::decode(payload)
+        let rec = Record::decode(payload)?;
+        self.pos = match dir {
+            ReadDir::Forward => start + framed,
+            ReadDir::Backward => start,
+        };
+        Ok(Some(rec))
+    }
+
+    /// Capacity of the buffer a file-backed reader holds (0 for a shared
+    /// buffer, which the store owns): at most the window plus the largest
+    /// frame read.
+    #[doc(hidden)]
+    pub fn buffer_capacity(&self) -> usize {
+        match self.src.file {
+            Some(_) => self.src.window.capacity(),
+            None => 0,
+        }
     }
 
     /// Bytes consumed so far.
@@ -1044,22 +1065,14 @@ impl AptReader {
 /// tagged with `path`.
 pub fn file_summary(path: &Path) -> Result<FileSummary, AptError> {
     let inner = || -> Result<FileSummary, AptError> {
-        let mut file = File::open(path)?;
-        let len = file.metadata()?.len();
-        if len < HEADER_LEN {
-            return Err(AptError::Header(HeaderError::Truncated { len }));
-        }
-        let mut head = [0u8; HEADER_LEN as usize];
-        file.read_exact(&mut head)?;
-        let (_, records, bytes) = check_header(&head, len)?;
+        let mut src = Source::file(File::open(path)?)?;
+        let (end, records, bytes) = src.header()?;
         let mut crc = 0u32;
-        let mut buf = [0u8; 64 * 1024];
-        loop {
-            let n = file.read(&mut buf)?;
-            if n == 0 {
-                break;
-            }
-            crc = crc::update(crc, &buf[..n]);
+        let mut pos = HEADER_LEN;
+        while pos < end {
+            let n = (end - pos).min(WINDOW as u64);
+            crc = crc::update(crc, src.bytes_at(pos, n as usize, ReadDir::Forward)?);
+            pos += n;
         }
         Ok(FileSummary {
             records,
@@ -1081,6 +1094,8 @@ pub fn boundary_path(dir: &Path, k: u16) -> PathBuf {
 #[derive(Debug)]
 pub struct TempAptDir {
     dir: PathBuf,
+    /// When [`LOCK_FILE`] was last written.
+    locked_at: Cell<Instant>,
 }
 
 /// Prefix of every [`TempAptDir`] under the system temp directory; the
@@ -1090,6 +1105,15 @@ const TEMP_DIR_PREFIX: &str = "linguist86-apt-";
 /// Name of the liveness lock file inside every [`TempAptDir`]. It holds
 /// the owning pid; its *mtime* is the owner's heartbeat.
 const LOCK_FILE: &str = "LOCK";
+
+/// How old the last [`LOCK_FILE`] write must be before
+/// [`TempAptDir::refresh_lock`] writes it again: far below the sweeper's
+/// `max_age` (24 h in the CLI), far above a typical evaluation.
+const LOCK_HEARTBEAT: Duration = Duration::from_secs(60);
+
+fn write_lock(dir: &Path) -> io::Result<()> {
+    std::fs::write(dir.join(LOCK_FILE), format!("{}\n", std::process::id()))
+}
 
 impl TempAptDir {
     /// Create a fresh private directory under the system temp dir,
@@ -1107,21 +1131,26 @@ impl TempAptDir {
         let dir =
             std::env::temp_dir().join(format!("{}{}-{}", TEMP_DIR_PREFIX, std::process::id(), n));
         std::fs::create_dir_all(&dir)?;
-        std::fs::write(dir.join(LOCK_FILE), format!("{}\n", std::process::id()))?;
-        Ok(TempAptDir { dir })
+        write_lock(&dir)?;
+        Ok(TempAptDir {
+            dir,
+            locked_at: Cell::new(Instant::now()),
+        })
     }
 
-    /// Refresh the lock file's heartbeat. The evaluation machine calls
-    /// this at every pass boundary, so a long-running evaluation keeps a
-    /// fresh mtime and a sweeping daemon (whose `max_age` far exceeds
-    /// any single pass) leaves the directory alone even on platforms
-    /// where pid liveness cannot be checked. Best-effort: a failure to
-    /// touch the lock never fails the evaluation.
+    /// Refresh the lock file's heartbeat once its last write is older
+    /// than [`LOCK_HEARTBEAT`]. The evaluation machine calls this at
+    /// every pass boundary, so a long-running evaluation keeps an mtime
+    /// at most a minute plus one pass old, and a sweeping daemon (whose
+    /// `max_age` far exceeds that) leaves the directory alone even on
+    /// platforms where pid liveness cannot be checked; an evaluation
+    /// shorter than the interval never rewrites the lock. Best-effort: a
+    /// failure to touch the lock never fails the evaluation, and the next
+    /// call tries again.
     pub fn refresh_lock(&self) {
-        let _ = std::fs::write(
-            self.dir.join(LOCK_FILE),
-            format!("{}\n", std::process::id()),
-        );
+        if self.locked_at.get().elapsed() >= LOCK_HEARTBEAT && write_lock(&self.dir).is_ok() {
+            self.locked_at.set(Instant::now());
+        }
     }
 
     /// Path of the file holding the boundary-`k` snapshot (boundary 0 is
@@ -1569,6 +1598,30 @@ mod tests {
             assert!(path.exists());
         }
         assert!(!path.exists());
+    }
+
+    #[test]
+    fn lock_heartbeat_writes_once_per_interval() {
+        let dir = TempAptDir::new().unwrap();
+        let lock = dir.path().join(LOCK_FILE);
+        std::fs::write(&lock, "marker\n").unwrap();
+        dir.refresh_lock();
+        assert_eq!(
+            std::fs::read_to_string(&lock).unwrap(),
+            "marker\n",
+            "a lock written under an interval ago was rewritten"
+        );
+        // Age the last write past the interval: the next call rewrites.
+        let Some(earlier) = Instant::now().checked_sub(LOCK_HEARTBEAT) else {
+            return;
+        };
+        dir.locked_at.set(earlier);
+        dir.refresh_lock();
+        assert_eq!(
+            std::fs::read_to_string(&lock).unwrap(),
+            format!("{}\n", std::process::id())
+        );
+        assert!(dir.locked_at.get().elapsed() < LOCK_HEARTBEAT);
     }
 
     #[test]

@@ -368,10 +368,11 @@ fn best_jobs_per_sec(tr: &Translator, trees: &[PTree], workers: usize) -> f64 {
 }
 
 /// The scaling regression gate: a 200-job sweep must reach >=2.5x
-/// jobs/sec at 4 workers — on a machine with at least 4 cores. On
-/// smaller machines the wall-clock half self-skips (core count, not
-/// store contention, is then the limit) but the zero-lock invariant is
-/// still enforced on every run.
+/// jobs/sec at 4 workers on a machine with at least 4 cores, and >=1.4x
+/// on 2 or 3 cores, where the core count rather than the store caps the
+/// speedup. A single core has no floor to check: the wall-clock half
+/// then skips loudly, while the zero-lock invariant is still enforced on
+/// every run.
 #[test]
 #[ignore = "scaling gate; run explicitly (scripts/verify.sh does)"]
 fn scaling_regression() {
@@ -382,22 +383,31 @@ fn scaling_regression() {
     let jps4 = best_jobs_per_sec(&tr, &trees, 4);
     let speedup = jps4 / jps1;
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if cores >= 4 {
-        assert!(
-            speedup >= 2.5,
-            "expected >=2.5x jobs/sec at 4 workers on the shared-nothing store, \
-             measured {:.2}x on {} cores",
-            speedup,
-            cores
-        );
-    } else {
-        eprintln!(
-            "scaling_regression: only {} core(s) available; measured {:.2}x at 4 workers — \
-             the >=2.5x assertion needs >=4 cores and was skipped (the zero-lock invariant \
-             was still enforced on all runs)",
-            cores, speedup
-        );
-    }
+    let floor = match cores {
+        1 => {
+            eprintln!(
+                "scaling_regression: 1 core available; measured {:.2}x at 4 workers — \
+                 no speedup floor applies and the wall-clock assertion was SKIPPED (the \
+                 zero-lock invariant was still enforced on all runs)",
+                speedup
+            );
+            return;
+        }
+        2 | 3 => 1.4,
+        _ => 2.5,
+    };
+    assert!(
+        speedup >= floor,
+        "expected >={}x jobs/sec at 4 workers on the shared-nothing store with {} cores, \
+         measured {:.2}x",
+        floor,
+        cores,
+        speedup
+    );
+    eprintln!(
+        "scaling_regression: CHECKED {:.2}x at 4 workers against the >={}x floor for {} cores",
+        speedup, floor, cores
+    );
 }
 
 /// Bounded smoke: dispatching to 2 workers must cost no more than
