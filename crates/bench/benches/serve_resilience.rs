@@ -20,7 +20,8 @@
 
 use linguist_bench::{rule, write_snapshot};
 use linguist_serve::load::{run_load, LoadConfig};
-use linguist_serve::router::{Router, RouterConfig, RouterHandle, ShardAddr};
+use linguist_serve::net::ShardAddr;
+use linguist_serve::router::{Router, RouterConfig, RouterHandle};
 use linguist_serve::server::{Server, ServerConfig, ServerHandle};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};

@@ -139,7 +139,8 @@ use linguist_frontend::driver::{run, run_batch, DriverOptions, DriverOutput, Tar
 use linguist_frontend::report::{ProfileReport, RecoveryOpts, DEFAULT_TREE_BUDGET};
 use linguist_serve::client::Client;
 use linguist_serve::load::{run_load, LoadConfig};
-use linguist_serve::router::{Router, RouterConfig, ShardAddr};
+use linguist_serve::net::ShardAddr;
+use linguist_serve::router::{Router, RouterConfig};
 use linguist_serve::server::{Server, ServerConfig};
 use linguist_support::json::Json;
 use std::io::Write as _;
@@ -201,6 +202,14 @@ impl Cli {
             },
             engine: self.engine,
         }
+    }
+}
+
+/// The value of an option that names a path or address (not a flag).
+fn operand(value: Option<String>) -> String {
+    match value {
+        Some(v) if !v.starts_with('-') => v,
+        _ => usage(),
     }
 }
 
@@ -311,10 +320,7 @@ fn parse_args(args: Vec<String>) -> Cli {
                 Some(n) => cli.retries = n,
                 None => usage(),
             },
-            "--checkpoint-dir" => match args.next() {
-                Some(dir) if !dir.starts_with('-') => cli.checkpoint_dir = Some(dir.into()),
-                _ => usage(),
-            },
+            "--checkpoint-dir" => cli.checkpoint_dir = Some(operand(args.next()).into()),
             "--resume" => cli.resume = true,
             "--emit" => match args.next().as_deref() {
                 Some("pascal") => cli.emit = Some(TargetOpt::Pascal),
@@ -441,10 +447,7 @@ fn codegen_main(args: Vec<String>) -> ExitCode {
     let mut args = args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--out" => match args.next() {
-                Some(d) if !d.starts_with('-') => out = Some(d.into()),
-                _ => usage(),
-            },
+            "--out" => out = Some(operand(args.next()).into()),
             "--help" | "-h" => usage(),
             _ if analysis_flag(&a, &mut args, &mut config) => {}
             _ if !a.starts_with('-') && path.is_none() => path = Some(a),
@@ -521,14 +524,8 @@ fn serve_main(args: Vec<String>) -> ExitCode {
     let mut args = args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--socket" => match args.next() {
-                Some(p) if !p.starts_with('-') => cfg.unix_path = Some(p.into()),
-                _ => usage(),
-            },
-            "--tcp" => match args.next() {
-                Some(addr) if !addr.starts_with('-') => cfg.tcp_addr = Some(addr),
-                _ => usage(),
-            },
+            "--socket" => cfg.unix_path = Some(operand(args.next()).into()),
+            "--tcp" => cfg.tcp_addr = Some(operand(args.next())),
             "--workers" => match args.next().and_then(|n| n.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => cfg.workers = n,
                 _ => usage(),
@@ -616,14 +613,8 @@ fn router_main(args: Vec<String>) -> ExitCode {
     let mut args = args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--socket" => match args.next() {
-                Some(p) if !p.starts_with('-') => cfg.unix_path = Some(p.into()),
-                _ => usage(),
-            },
-            "--tcp" => match args.next() {
-                Some(addr) if !addr.starts_with('-') => cfg.tcp_addr = Some(addr),
-                _ => usage(),
-            },
+            "--socket" => cfg.unix_path = Some(operand(args.next()).into()),
+            "--tcp" => cfg.tcp_addr = Some(operand(args.next())),
             "--shard" => match args.next().as_deref().map(ShardAddr::parse) {
                 Some(Ok(spec)) => cfg.shards.push(spec),
                 Some(Err(e)) => {
@@ -700,14 +691,8 @@ fn load_main(args: Vec<String>) -> ExitCode {
     let mut args = args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--socket" => match args.next() {
-                Some(p) if !p.starts_with('-') => target = Some(ShardAddr::Unix(p.into())),
-                _ => usage(),
-            },
-            "--tcp" => match args.next() {
-                Some(addr) if !addr.starts_with('-') => target = Some(ShardAddr::Tcp(addr)),
-                _ => usage(),
-            },
+            "--socket" => target = Some(ShardAddr::Unix(operand(args.next()).into())),
+            "--tcp" => target = Some(ShardAddr::Tcp(operand(args.next()))),
             "--rate" => match args.next().and_then(|n| n.parse::<f64>().ok()) {
                 Some(r) if r > 0.0 => cfg.rate = r,
                 _ => usage(),
@@ -803,17 +788,11 @@ fn client_main(args: Vec<String>) -> ExitCode {
         match a {
             "--socket" => {
                 args.next();
-                match args.next() {
-                    Some(p) if !p.starts_with('-') => target = Some(ShardAddr::Unix(p.into())),
-                    _ => usage(),
-                }
+                target = Some(ShardAddr::Unix(operand(args.next()).into()));
             }
             "--tcp" => {
                 args.next();
-                match args.next() {
-                    Some(addr) if !addr.starts_with('-') => target = Some(ShardAddr::Tcp(addr)),
-                    _ => usage(),
-                }
+                target = Some(ShardAddr::Tcp(operand(args.next())));
             }
             "--timeout-ms" => {
                 args.next();
@@ -941,11 +920,7 @@ fn client_main(args: Vec<String>) -> ExitCode {
                 attempt, retries, last.1
             );
         }
-        let connected = match &target {
-            ShardAddr::Unix(p) => Client::connect_unix(p),
-            ShardAddr::Tcp(a) => Client::connect_tcp(a.as_str()),
-        };
-        let mut client = match connected {
+        let mut client = match Client::connect(&target) {
             Ok(c) => c,
             Err(e) => {
                 let diag = if e.kind() == std::io::ErrorKind::ConnectionRefused {

@@ -27,13 +27,13 @@
 //!   overloaded listener backlog.
 
 use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::router::ShardAddr;
+use crate::net::{ShardAddr, Stream};
 
 /// What the proxy does to traffic right now.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -139,13 +139,16 @@ fn accept_loop(
     generation: &Arc<AtomicU64>,
 ) {
     while !stop.load(Ordering::SeqCst) {
-        let (client, _peer) = match listener.accept() {
-            Ok(pair) => pair,
+        let client = match listener.accept() {
+            Ok((s, _peer)) => s,
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(10));
                 continue;
             }
             Err(_) => return,
+        };
+        let Ok(client) = Stream::tcp(client) else {
+            continue;
         };
         let mode = *fault.lock().expect("fault poisoned");
         match mode {
@@ -153,16 +156,16 @@ fn accept_loop(
                 // Close immediately: the router sees a connection that
                 // dies before a reply — indistinguishable from a dead
                 // process that the kernel still RSTs for.
-                let _unused = client.shutdown(Shutdown::Both);
+                client.shutdown();
                 continue;
             }
             Fault::DelayAccept(d) => std::thread::sleep(d),
             _ => {}
         }
-        let up = match connect_upstream(upstream) {
+        let up = match Stream::connect(upstream, None) {
             Ok(s) => s,
             Err(_) => {
-                let _unused = client.shutdown(Shutdown::Both);
+                client.shutdown();
                 continue;
             }
         };
@@ -176,74 +179,11 @@ fn accept_loop(
     }
 }
 
-/// The upstream side: plain TCP, or a Unix socket wrapped to look the
-/// same.
-enum Upstream {
-    Tcp(TcpStream),
-    Unix(std::os::unix::net::UnixStream),
-}
-
-impl Upstream {
-    fn set_read_timeout(&self, d: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            Upstream::Tcp(s) => s.set_read_timeout(d),
-            Upstream::Unix(s) => s.set_read_timeout(d),
-        }
-    }
-    fn try_clone(&self) -> std::io::Result<Upstream> {
-        match self {
-            Upstream::Tcp(s) => s.try_clone().map(Upstream::Tcp),
-            Upstream::Unix(s) => s.try_clone().map(Upstream::Unix),
-        }
-    }
-    fn shutdown(&self) {
-        match self {
-            Upstream::Tcp(s) => {
-                let _unused = s.shutdown(Shutdown::Both);
-            }
-            Upstream::Unix(s) => {
-                let _unused = s.shutdown(Shutdown::Both);
-            }
-        }
-    }
-}
-
-impl Read for Upstream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Upstream::Tcp(s) => s.read(buf),
-            Upstream::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Upstream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Upstream::Tcp(s) => s.write(buf),
-            Upstream::Unix(s) => s.write(buf),
-        }
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Upstream::Tcp(s) => s.flush(),
-            Upstream::Unix(s) => s.flush(),
-        }
-    }
-}
-
-fn connect_upstream(addr: &ShardAddr) -> std::io::Result<Upstream> {
-    match addr {
-        ShardAddr::Tcp(a) => TcpStream::connect(a).map(Upstream::Tcp),
-        ShardAddr::Unix(p) => std::os::unix::net::UnixStream::connect(p).map(Upstream::Unix),
-    }
-}
-
 /// Move bytes both ways until a side closes, the proxy stops, a `Kill`
 /// bumps the generation, or the fault says otherwise.
 fn pump_pair(
-    client: TcpStream,
-    up: Upstream,
+    client: Stream,
+    up: Stream,
     fault: &Arc<Mutex<Fault>>,
     stop: &Arc<AtomicBool>,
     generation: &Arc<AtomicU64>,
@@ -255,51 +195,17 @@ fn pump_pair(
     let (Ok(client_r), Ok(up_r)) = (client.try_clone(), up.try_clone()) else {
         return;
     };
-    let done = Arc::new(AtomicBool::new(false));
+    let done = AtomicBool::new(false);
     std::thread::scope(|s| {
-        // client → upstream (requests, forwarded verbatim).
-        {
-            let fault = Arc::clone(fault);
-            let stop = Arc::clone(stop);
-            let generation = Arc::clone(generation);
-            let done = Arc::clone(&done);
-            let mut from = client_r;
-            let mut to = up;
+        // client → upstream carries requests verbatim; upstream → client
+        // carries replies, garbled under `Garble`.
+        for (mut from, mut to, is_reply) in [(client_r, up, false), (up_r, client, true)] {
+            let done = &done;
             s.spawn(move || {
                 pump_one(
-                    &mut from,
-                    &mut to,
-                    &fault,
-                    &stop,
-                    &generation,
-                    born,
-                    &done,
-                    false,
+                    &mut from, &mut to, fault, stop, generation, born, done, is_reply,
                 );
                 to.shutdown();
-                done.store(true, Ordering::SeqCst);
-            });
-        }
-        // upstream → client (replies, garbled under `Garble`).
-        {
-            let fault = Arc::clone(fault);
-            let stop = Arc::clone(stop);
-            let generation = Arc::clone(generation);
-            let done = Arc::clone(&done);
-            let mut from = up_r;
-            let mut to = client;
-            s.spawn(move || {
-                pump_one(
-                    &mut from,
-                    &mut to,
-                    &fault,
-                    &stop,
-                    &generation,
-                    born,
-                    &done,
-                    true,
-                );
-                let _unused = to.shutdown(Shutdown::Both);
                 done.store(true, Ordering::SeqCst);
             });
         }
@@ -314,7 +220,7 @@ fn pump_one(
     stop: &Arc<AtomicBool>,
     generation: &Arc<AtomicU64>,
     born: u64,
-    done: &Arc<AtomicBool>,
+    done: &AtomicBool,
     is_reply_direction: bool,
 ) {
     let mut buf = [0u8; 4096];
@@ -430,6 +336,7 @@ impl ChaosSchedule {
 mod tests {
     use super::*;
     use std::io::{BufRead, BufReader};
+    use std::net::TcpStream;
 
     /// A trivial upstream echo server: replies to each line with
     /// `echo:<line>`.

@@ -7,68 +7,18 @@
 //! malformed test traffic, use a raw socket).
 
 use linguist_support::json::Json;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::time::Duration;
 
-enum Conn {
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl Conn {
-    fn try_clone(&self) -> std::io::Result<Conn> {
-        match self {
-            Conn::Unix(s) => s.try_clone().map(Conn::Unix),
-            Conn::Tcp(s) => s.try_clone().map(Conn::Tcp),
-        }
-    }
-
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            Conn::Unix(s) => s.set_read_timeout(timeout),
-            Conn::Tcp(s) => s.set_read_timeout(timeout),
-        }
-    }
-
-    fn set_write_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            Conn::Unix(s) => s.set_write_timeout(timeout),
-            Conn::Tcp(s) => s.set_write_timeout(timeout),
-        }
-    }
-}
-
-impl std::io::Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Conn::Unix(s) => s.read(buf),
-            Conn::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Conn::Unix(s) => s.write(buf),
-            Conn::Tcp(s) => s.write(buf),
-        }
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Conn::Unix(s) => s.flush(),
-            Conn::Tcp(s) => s.flush(),
-        }
-    }
-}
+use crate::net::{write_frame, ShardAddr, Stream};
 
 /// One connection to a running daemon.
 pub struct Client {
-    reader: BufReader<Conn>,
-    writer: Conn,
+    reader: BufReader<Stream>,
+    writer: Stream,
 }
 
 impl Client {
@@ -78,7 +28,7 @@ impl Client {
     ///
     /// Propagates the connect failure.
     pub fn connect_unix(path: impl AsRef<Path>) -> std::io::Result<Client> {
-        Client::wrap(Conn::Unix(UnixStream::connect(path)?))
+        Client::wrap(Stream::Unix(UnixStream::connect(path)?))
     }
 
     /// Connect over TCP.
@@ -87,10 +37,19 @@ impl Client {
     ///
     /// Propagates the connect failure.
     pub fn connect_tcp(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
-        Client::wrap(Conn::Tcp(TcpStream::connect(addr)?))
+        Client::wrap(Stream::tcp(TcpStream::connect(addr)?)?)
     }
 
-    fn wrap(conn: Conn) -> std::io::Result<Client> {
+    /// Connect to a daemon or router address.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the connect failure.
+    pub fn connect(addr: &ShardAddr) -> std::io::Result<Client> {
+        Client::wrap(Stream::connect(addr, None)?)
+    }
+
+    fn wrap(conn: Stream) -> std::io::Result<Client> {
         let reader = BufReader::new(conn.try_clone()?);
         Ok(Client {
             reader,
@@ -106,10 +65,8 @@ impl Client {
     ///
     /// Propagates the socket-option failure.
     pub fn set_timeouts(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
-        // reader and writer are clones of one socket, but set the
-        // option on both for clarity (and portability of the clone
-        // semantics).
-        self.reader.get_ref().set_read_timeout(timeout)?;
+        // Reader and writer are clones of one socket, which holds both
+        // options.
         self.writer.set_read_timeout(timeout)?;
         self.writer.set_write_timeout(timeout)
     }
@@ -130,8 +87,7 @@ impl Client {
     /// I/O failures; `UnexpectedEof` when the daemon closed the
     /// connection; `InvalidData` when the reply line is not JSON.
     pub fn roundtrip(&mut self, request: &Json) -> std::io::Result<Json> {
-        writeln!(self.writer, "{}", request)?;
-        self.writer.flush()?;
+        write_frame(&mut self.writer, request)?;
         let mut line = String::new();
         if self.reader.read_line(&mut line)? == 0 {
             return Err(std::io::Error::new(

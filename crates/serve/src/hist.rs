@@ -1,21 +1,26 @@
-//! Fixed-bucket latency histogram for the `Stats` endpoint.
+//! Log-linear latency histogram for the `Stats` endpoint.
 //!
 //! Quantiles without dependencies and without unbounded memory: one
-//! atomic counter per power-of-two microsecond bucket. Recording is a
-//! single relaxed `fetch_add` (safe from every worker concurrently);
-//! reading walks 40 counters. The price is resolution — a reported
-//! quantile is the *upper edge* of the bucket the target sample fell
-//! into, so values are conservative (never under-reported) and at most
-//! 2× the true latency.
+//! atomic counter per bucket, in HdrHistogram's layout. Each power-of-two
+//! range of microseconds is split into 16 equal sub-buckets (values
+//! under 16 µs get a bucket each). Recording is a single relaxed
+//! `fetch_add` (safe from every worker concurrently); reading walks 592
+//! counters. A reported quantile is the *upper edge* of the bucket the
+//! target sample fell into, so values are conservative (never
+//! under-reported) and at most 1/16 = 6.25% above the true latency.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Bucket count: `2^39` µs ≈ 6.4 days in the top finite bucket, which
-/// comfortably covers any request this service will ever answer.
-const BUCKETS: usize = 40;
+/// Sub-buckets per power of two, as a bit count: `2^4 = 16`.
+const SUB_BITS: u32 = 4;
+const SUB: usize = 1 << SUB_BITS;
+/// The top bucket ends at `2^40` µs ≈ 12.7 days, which comfortably
+/// covers any request this service will ever answer.
+const MAX_EXP: u32 = 40;
+const BUCKETS: usize = SUB + (MAX_EXP - SUB_BITS) as usize * SUB;
 
-/// A concurrent power-of-two-bucket histogram of durations.
+/// A concurrent log-linear histogram of durations.
 #[derive(Debug)]
 pub struct LatencyHistogram {
     buckets: [AtomicU64; BUCKETS],
@@ -29,18 +34,24 @@ impl Default for LatencyHistogram {
     }
 }
 
-/// Bucket `i` holds samples in `[2^(i-1), 2^i)` µs (bucket 0 holds 0–1 µs).
+/// Values under 16 µs have a bucket each. A value in `[2^e, 2^(e+1))`
+/// for `e >= 4` falls into one of 16 sub-buckets of width `2^(e-4)`.
 fn bucket_of(us: u64) -> usize {
-    if us == 0 {
-        0
-    } else {
-        ((64 - us.leading_zeros()) as usize).min(BUCKETS - 1)
+    if us < SUB as u64 {
+        return us as usize;
     }
+    let e = 63 - us.leading_zeros();
+    let sub = (us >> (e - SUB_BITS)) as usize - SUB;
+    (SUB + (e - SUB_BITS) as usize * SUB + sub).min(BUCKETS - 1)
 }
 
-/// Upper edge of bucket `i`, in microseconds.
+/// Exclusive upper edge of bucket `i`, in microseconds.
 fn upper_edge(i: usize) -> u64 {
-    1u64 << i
+    if i < SUB {
+        return i as u64 + 1;
+    }
+    let (octave, sub) = ((i - SUB) / SUB, (i - SUB) % SUB);
+    ((SUB + sub + 1) as u64) << octave
 }
 
 impl LatencyHistogram {
@@ -102,15 +113,51 @@ mod tests {
     }
 
     #[test]
-    fn buckets_are_powers_of_two() {
+    fn buckets_are_log_linear() {
         assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 1);
-        assert_eq!(bucket_of(2), 2);
-        assert_eq!(bucket_of(3), 2);
-        assert_eq!(bucket_of(4), 3);
-        assert_eq!(bucket_of(1023), 10);
-        assert_eq!(bucket_of(1024), 11);
+        assert_eq!(bucket_of(15), 15);
+        // [16, 32) is split 16 ways, width 1; [512, 1024) 16 ways, width 32.
+        assert_eq!(bucket_of(16), 16);
+        assert_eq!(bucket_of(31), 31);
+        assert_eq!(bucket_of(32), 32);
+        assert_eq!(bucket_of(33), 32);
+        assert_eq!(bucket_of(800), bucket_of(831));
+        assert_eq!(bucket_of(832), bucket_of(800) + 1);
+        assert_eq!(upper_edge(bucket_of(800)), 832);
+        assert_eq!(upper_edge(bucket_of(1023)), 1024);
         assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
+        assert_eq!(upper_edge(BUCKETS - 1), 1 << MAX_EXP);
+    }
+
+    #[test]
+    fn reported_edges_are_upper_bounds_within_a_sixteenth() {
+        let values = (0..70_000u64).chain((20..40).map(|e| (1u64 << e) + 12_345));
+        for us in values {
+            let edge = upper_edge(bucket_of(us));
+            assert!(edge > us, "{} µs reported as {}", us, edge);
+            assert!(
+                (edge - us) * 16 <= us.max(16),
+                "{} µs reported as {}: more than 6.25% high",
+                us,
+                edge
+            );
+        }
+    }
+
+    #[test]
+    fn p50_of_an_even_spread_is_within_a_sixteenth() {
+        // 1,000 samples spread evenly over 600–1,000 µs: the true p50 is
+        // 800 µs. Power-of-two buckets reported 1,024.
+        let h = LatencyHistogram::new();
+        for i in 0..1000u64 {
+            h.record(Duration::from_micros(600 + i * 400 / 1000));
+        }
+        let p50 = h.quantile(0.5).unwrap().as_micros() as f64;
+        assert!(
+            (p50 - 800.0).abs() <= 800.0 * 0.0625,
+            "p50 {} µs is more than 6.25% from 800 µs",
+            p50
+        );
     }
 
     #[test]

@@ -16,14 +16,18 @@
 //! * [`pool`] — the admission-controlled worker pool: a bounded queue
 //!   that rejects with `overloaded` instead of blocking, panic
 //!   isolation per job, queue-wait-aware deadline budgeting.
-//! * [`hist`] — a fixed-bucket latency histogram (p50/p99 without
-//!   dependencies or unbounded memory).
+//! * [`hist`] — a log-linear latency histogram (quantiles within
+//!   6.25%, without dependencies or unbounded memory).
 //! * [`stats`] — the `Stats` endpoint's aggregation: request
 //!   counters, the latency histogram, and every profiled evaluation's
 //!   [`EvalMetrics`](linguist_eval::metrics::EvalMetrics) merged into
 //!   one running pass-level traffic table.
+//! * [`net`] — the connection layer: one Unix-or-TCP stream type, one
+//!   accept loop (a thread per connection), one session loop over the
+//!   frame reader, and one framed write per reply, with `TCP_NODELAY`
+//!   on every TCP socket.
 //! * [`server`] — the daemon: Unix-domain socket and/or localhost TCP
-//!   listeners, one thread per connection, jobs on the pool.
+//!   listeners, request dispatch, jobs on the pool.
 //! * [`client`] — a small blocking client used by the CLI and tests.
 //!
 //! A single daemon is one fault domain. The sharded tier splits it:
@@ -45,6 +49,7 @@ pub mod chaos;
 pub mod client;
 pub mod hist;
 pub mod load;
+pub mod net;
 pub mod pool;
 pub mod proto;
 pub mod router;
@@ -57,9 +62,10 @@ pub use chaos::{ChaosProxy, ChaosSchedule, Fault};
 pub use client::Client;
 pub use hist::LatencyHistogram;
 pub use load::{run_load, LoadConfig, LoadReport};
+pub use net::ShardAddr;
 pub use pool::{PoolStats, SubmitError, WorkerPool};
 pub use proto::{FrameError, FrameReader, GrammarRef, Request, Work};
-pub use router::{Router, RouterConfig, RouterHandle, RouterState, ShardAddr};
+pub use router::{Router, RouterConfig, RouterHandle, RouterState};
 pub use server::{Server, ServerConfig, ServerHandle, ServiceState};
 pub use stats::ServiceMetrics;
 pub use store::{grammar_key, CompiledGrammar, GrammarStore, LoadError, StoreStats};

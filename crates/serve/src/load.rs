@@ -23,8 +23,8 @@ use std::time::{Duration, Instant};
 
 use crate::client::Client;
 use crate::hist::LatencyHistogram;
+use crate::net::ShardAddr;
 use crate::proto::retryable_kind;
-use crate::router::ShardAddr;
 
 /// The grammar the generator drives: scanner-free (requests use
 /// `budget`, so any topology can run it) and cheap enough to evaluate
@@ -167,13 +167,6 @@ impl LoadReport {
     }
 }
 
-fn connect(target: &ShardAddr) -> std::io::Result<Client> {
-    match target {
-        ShardAddr::Unix(p) => Client::connect_unix(p),
-        ShardAddr::Tcp(a) => Client::connect_tcp(a.as_str()),
-    }
-}
-
 /// Preload the grammar variants, with bounded patience (the topology
 /// may still be coming up). Returns the handles, variant order.
 ///
@@ -187,7 +180,7 @@ pub fn preload(target: &ShardAddr, grammars: usize) -> std::io::Result<Vec<Strin
         let mut last: Option<std::io::Error> = None;
         let mut handle = None;
         for _attempt in 0..20 {
-            let result = connect(target)
+            let result = Client::connect(target)
                 .and_then(|mut c| c.load_grammar(&source, None, Some(&format!("load-{}", i))));
             match result {
                 Ok(reply) if reply.get("ok").and_then(Json::as_bool) == Some(true) => {
@@ -236,7 +229,7 @@ fn send_one(
     let mut resends = 0u64;
     for attempt in 0..=retries {
         if client.is_none() {
-            match connect(target) {
+            match Client::connect(target) {
                 Ok(c) => *client = Some(c),
                 Err(_) => {
                     if attempt < retries {

@@ -47,9 +47,7 @@
 //! routers.
 
 use linguist_support::json::Json;
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -57,6 +55,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::hist::LatencyHistogram;
+use crate::net::{session, write_frame, Endpoints, Listeners, ShardAddr, Stream};
 use crate::proto::{
     error_reply, kind, ok_reply, retryable_kind, FrameError, FrameReader, GrammarRef, Request,
 };
@@ -65,101 +64,6 @@ use crate::store::{fnv1a, grammar_key};
 /// Virtual nodes per shard on the hash ring: enough to keep the key
 /// space within a few percent of even for small shard counts.
 const VNODES: usize = 40;
-
-/// How a shard is addressed.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ShardAddr {
-    /// A Unix-domain socket path.
-    Unix(PathBuf),
-    /// A TCP address, e.g. `127.0.0.1:7001`.
-    Tcp(String),
-}
-
-impl ShardAddr {
-    /// Parse `unix:PATH`, `tcp:ADDR`, a bare `/path` (Unix), or a bare
-    /// `host:port` (TCP).
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message for anything else.
-    pub fn parse(s: &str) -> Result<ShardAddr, String> {
-        if let Some(path) = s.strip_prefix("unix:") {
-            Ok(ShardAddr::Unix(PathBuf::from(path)))
-        } else if let Some(addr) = s.strip_prefix("tcp:") {
-            Ok(ShardAddr::Tcp(addr.to_string()))
-        } else if s.starts_with('/') {
-            Ok(ShardAddr::Unix(PathBuf::from(s)))
-        } else if s.contains(':') {
-            Ok(ShardAddr::Tcp(s.to_string()))
-        } else {
-            Err(format!(
-                "shard address `{}` is neither unix:PATH, tcp:ADDR, /path, nor host:port",
-                s
-            ))
-        }
-    }
-
-    /// Open a fresh connection with `timeout` as the connect (TCP) and
-    /// read/write deadline.
-    fn connect(&self, timeout: Duration) -> std::io::Result<ShardConn> {
-        match self {
-            ShardAddr::Unix(path) => {
-                let s = UnixStream::connect(path)?;
-                s.set_read_timeout(Some(timeout))?;
-                s.set_write_timeout(Some(timeout))?;
-                Ok(ShardConn::Unix(s))
-            }
-            ShardAddr::Tcp(addr) => {
-                let resolved = addr
-                    .to_socket_addrs()?
-                    .next()
-                    .ok_or_else(|| std::io::Error::other("address resolves to nothing"))?;
-                let s = TcpStream::connect_timeout(&resolved, timeout)?;
-                s.set_read_timeout(Some(timeout))?;
-                s.set_write_timeout(Some(timeout))?;
-                Ok(ShardConn::Tcp(s))
-            }
-        }
-    }
-}
-
-impl std::fmt::Display for ShardAddr {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShardAddr::Unix(p) => write!(f, "unix:{}", p.display()),
-            ShardAddr::Tcp(a) => write!(f, "tcp:{}", a),
-        }
-    }
-}
-
-enum ShardConn {
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl std::io::Read for ShardConn {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            ShardConn::Unix(s) => s.read(buf),
-            ShardConn::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for ShardConn {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            ShardConn::Unix(s) => s.write(buf),
-            ShardConn::Tcp(s) => s.write(buf),
-        }
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            ShardConn::Unix(s) => s.flush(),
-            ShardConn::Tcp(s) => s.flush(),
-        }
-    }
-}
 
 /// How to run the router.
 #[derive(Clone, Debug)]
@@ -417,20 +321,18 @@ pub struct RouterState {
     ring: Vec<(u64, usize)>,
     sources: Mutex<SourceCache>,
     metrics: RouterMetrics,
-    shutdown: AtomicBool,
-    unix_path: Option<PathBuf>,
-    tcp_addr: Option<SocketAddr>,
+    net: Arc<Endpoints>,
 }
 
 impl RouterState {
     /// Has a drain been requested?
     pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+        self.net.is_stopping()
     }
 
     /// Begin a graceful drain from outside the protocol (SIGTERM).
     pub fn begin_drain(&self) {
-        request_drain(self);
+        self.net.stop();
     }
 
     /// Per-shard state snapshots, ring order.
@@ -473,30 +375,14 @@ impl Router {
     /// Bind failures; `InvalidInput` when no listener or no shard is
     /// configured.
     pub fn start(cfg: RouterConfig) -> std::io::Result<RouterHandle> {
-        if cfg.unix_path.is_none() && cfg.tcp_addr.is_none() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "router config names no listener (unix_path or tcp_addr)",
-            ));
-        }
         if cfg.shards.is_empty() {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
                 "router config names no shards",
             ));
         }
-        let unix_listener = match &cfg.unix_path {
-            Some(path) => Some(crate::server::bind_unix(path)?),
-            None => None,
-        };
-        let tcp_listener = match &cfg.tcp_addr {
-            Some(addr) => Some(TcpListener::bind(addr)?),
-            None => None,
-        };
-        let tcp_addr = match &tcp_listener {
-            Some(l) => Some(l.local_addr()?),
-            None => None,
-        };
+        let listeners =
+            Listeners::bind("router", cfg.unix_path.as_deref(), cfg.tcp_addr.as_deref())?;
         let shards: Vec<Arc<ShardState>> = cfg
             .shards
             .iter()
@@ -512,7 +398,6 @@ impl Router {
             }
         }
         ring.sort_unstable();
-        let unix_path = cfg.unix_path.clone();
         let state = Arc::new(RouterState {
             sources: Mutex::new(SourceCache::new(cfg.source_cache)),
             metrics: RouterMetrics {
@@ -524,30 +409,24 @@ impl Router {
                 errors: AtomicU64::new(0),
                 latency: LatencyHistogram::new(),
             },
-            shutdown: AtomicBool::new(false),
-            unix_path,
-            tcp_addr,
+            net: listeners.endpoints(),
             shards,
             ring,
             cfg,
         });
-        let mut threads = Vec::new();
-        if let Some(listener) = unix_listener {
-            let state = Arc::clone(&state);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("router-accept-unix".to_string())
-                    .spawn(move || accept_unix(&listener, &state))?,
+        let conn_state = Arc::clone(&state);
+        let mut threads = listeners.spawn(state.cfg.idle_timeout, move |stream| {
+            let state = &conn_state;
+            session(
+                stream,
+                state.cfg.max_frame_len,
+                |line| route_line(line, state),
+                |_| {
+                    state.metrics.errors.fetch_add(1, Ordering::Relaxed);
+                },
+                || state.begin_drain(),
             );
-        }
-        if let Some(listener) = tcp_listener {
-            let state = Arc::clone(&state);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("router-accept-tcp".to_string())
-                    .spawn(move || accept_tcp(&listener, &state))?,
-            );
-        }
+        })?;
         {
             let state = Arc::clone(&state);
             threads.push(
@@ -569,12 +448,12 @@ pub struct RouterHandle {
 impl RouterHandle {
     /// The bound Unix socket path, if configured.
     pub fn unix_path(&self) -> Option<&Path> {
-        self.state.unix_path.as_deref()
+        self.state.net.unix_path.as_deref()
     }
 
     /// The bound TCP address, if configured.
     pub fn tcp_addr(&self) -> Option<SocketAddr> {
-        self.state.tcp_addr
+        self.state.net.tcp_addr
     }
 
     /// The shared state (counters and shard views, for tests).
@@ -590,7 +469,7 @@ impl RouterHandle {
 
     /// Stop the router from outside.
     pub fn shutdown(mut self) {
-        request_drain(&self.state);
+        self.state.begin_drain();
         self.join();
     }
 
@@ -598,7 +477,7 @@ impl RouterHandle {
         for h in self.threads.drain(..) {
             let _unused = h.join();
         }
-        if let Some(path) = &self.state.unix_path {
+        if let Some(path) = &self.state.net.unix_path {
             let _unused = std::fs::remove_file(path);
         }
     }
@@ -607,107 +486,8 @@ impl RouterHandle {
 impl Drop for RouterHandle {
     fn drop(&mut self) {
         if !self.threads.is_empty() {
-            request_drain(&self.state);
+            self.state.begin_drain();
             self.join();
-        }
-    }
-}
-
-/// Flip the shutdown flag and poke the listeners awake.
-fn request_drain(state: &RouterState) {
-    if state.shutdown.swap(true, Ordering::SeqCst) {
-        return;
-    }
-    if let Some(path) = &state.unix_path {
-        let _unused = UnixStream::connect(path);
-    }
-    if let Some(addr) = state.tcp_addr {
-        let _unused = TcpStream::connect(addr);
-    }
-}
-
-fn accept_unix(listener: &UnixListener, state: &Arc<RouterState>) {
-    for conn in listener.incoming() {
-        if state.is_shutting_down() {
-            return;
-        }
-        if let Ok(stream) = conn {
-            let state = Arc::clone(state);
-            let _unused = std::thread::Builder::new()
-                .name("router-conn".to_string())
-                .spawn(move || {
-                    let _unused = stream.set_read_timeout(state.cfg.idle_timeout);
-                    client_conn(stream, &state);
-                });
-        }
-    }
-}
-
-fn accept_tcp(listener: &TcpListener, state: &Arc<RouterState>) {
-    for conn in listener.incoming() {
-        if state.is_shutting_down() {
-            return;
-        }
-        if let Ok(stream) = conn {
-            let state = Arc::clone(state);
-            let _unused = std::thread::Builder::new()
-                .name("router-conn".to_string())
-                .spawn(move || {
-                    let _unused = stream.set_read_timeout(state.cfg.idle_timeout);
-                    client_conn(stream, &state);
-                });
-        }
-    }
-}
-
-/// One client session against the router: same framing discipline as
-/// the single daemon's `serve_conn`.
-fn client_conn<S: std::io::Read + Write>(stream: S, state: &Arc<RouterState>) {
-    let mut frames = FrameReader::new(stream, state.cfg.max_frame_len);
-    loop {
-        let line = match frames.read_frame() {
-            Ok(line) => line,
-            Err(FrameError::TooLarge { limit }) => {
-                let reply = error_reply(
-                    kind::FRAME_TOO_LARGE,
-                    &format!("request line exceeds the {}-byte frame bound", limit),
-                );
-                let w = frames.get_mut();
-                let _unused = writeln!(w, "{}", reply).and_then(|()| w.flush());
-                return;
-            }
-            Err(FrameError::IdleTimeout { mid_frame }) => {
-                if mid_frame {
-                    let reply = error_reply(
-                        kind::IDLE_TIMEOUT,
-                        "connection stalled mid-request past the idle deadline",
-                    );
-                    let w = frames.get_mut();
-                    let _unused = writeln!(w, "{}", reply).and_then(|()| w.flush());
-                }
-                return;
-            }
-            Err(FrameError::BadUtf8) => {
-                let reply = error_reply(kind::BAD_REQUEST, "request line is not UTF-8");
-                let w = frames.get_mut();
-                if writeln!(w, "{}", reply).and_then(|()| w.flush()).is_err() {
-                    return;
-                }
-                continue;
-            }
-            Err(_) => return,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (reply, stop) = route_line(&line, state);
-        let w = frames.get_mut();
-        if writeln!(w, "{}", reply).and_then(|()| w.flush()).is_err() {
-            return;
-        }
-        if stop {
-            request_drain(state);
-            return;
         }
     }
 }
@@ -920,9 +700,8 @@ fn forward_once(
     timeout: Duration,
     max_frame_len: usize,
 ) -> std::io::Result<Json> {
-    let mut conn = addr.connect(timeout)?;
-    writeln!(conn, "{}", line.trim_end())?;
-    conn.flush()?;
+    let mut conn = Stream::connect(addr, Some(timeout))?;
+    write_frame(&mut conn, line.trim_end())?;
     let mut frames = FrameReader::new(conn, max_frame_len);
     let reply = match frames.read_frame() {
         Ok(l) => l,
@@ -1087,10 +866,7 @@ fn health_loop(state: &Arc<RouterState>) {
 /// One liveness probe: `{"op":"ping"}` answered `ok:true` within the
 /// timeout.
 fn probe(addr: &ShardAddr, timeout: Duration, max_frame_len: usize) -> bool {
-    matches!(
-        forward_once(addr, r#"{"op":"ping"}"#, timeout, max_frame_len),
-        Ok(reply) if reply.get("ok").and_then(Json::as_bool) == Some(true)
-    )
+    forward_ok(addr, r#"{"op":"ping"}"#, timeout, max_frame_len)
 }
 
 /// Push one cached grammar into a recovering shard.
@@ -1105,9 +881,13 @@ fn replicate(addr: &ShardAddr, cs: &CachedSource, timeout: Duration, max_frame_l
     if let Some(n) = &cs.name {
         obj.push(("name".to_string(), Json::str(n)));
     }
-    let line = Json::Obj(obj).to_string();
+    forward_ok(addr, &Json::Obj(obj).to_string(), timeout, max_frame_len)
+}
+
+/// Did one attempt get an `ok:true` reply?
+fn forward_ok(addr: &ShardAddr, line: &str, timeout: Duration, max_frame_len: usize) -> bool {
     matches!(
-        forward_once(addr, &line, timeout, max_frame_len),
+        forward_once(addr, line, timeout, max_frame_len),
         Ok(reply) if reply.get("ok").and_then(Json::as_bool) == Some(true)
     )
 }
@@ -1115,27 +895,6 @@ fn replicate(addr: &ShardAddr, cs: &CachedSource, timeout: Duration, max_frame_l
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shard_addresses_parse_all_four_spellings() {
-        assert_eq!(
-            ShardAddr::parse("unix:/tmp/s1.sock").unwrap(),
-            ShardAddr::Unix(PathBuf::from("/tmp/s1.sock"))
-        );
-        assert_eq!(
-            ShardAddr::parse("/tmp/s2.sock").unwrap(),
-            ShardAddr::Unix(PathBuf::from("/tmp/s2.sock"))
-        );
-        assert_eq!(
-            ShardAddr::parse("tcp:127.0.0.1:7001").unwrap(),
-            ShardAddr::Tcp("127.0.0.1:7001".to_string())
-        );
-        assert_eq!(
-            ShardAddr::parse("127.0.0.1:7001").unwrap(),
-            ShardAddr::Tcp("127.0.0.1:7001".to_string())
-        );
-        assert!(ShardAddr::parse("nonsense").is_err());
-    }
 
     #[test]
     fn breaker_opens_after_threshold_and_half_opens_after_cooldown() {
@@ -1194,9 +953,7 @@ mod tests {
                 errors: AtomicU64::new(0),
                 latency: LatencyHistogram::new(),
             },
-            shutdown: AtomicBool::new(false),
-            unix_path: None,
-            tcp_addr: None,
+            net: Arc::default(),
         }
     }
 

@@ -1,4 +1,4 @@
-//! The daemon: listeners, connection loop, and request dispatch.
+//! The daemon: request dispatch over the shared connection layer.
 //!
 //! [`Server::start`] binds a Unix-domain socket and/or a localhost TCP
 //! listener and returns a [`ServerHandle`]; the daemon then runs until
@@ -6,9 +6,11 @@
 //!
 //! The threading model keeps the slow and the fast paths apart:
 //!
-//! * one **acceptor** thread per listener, blocked in `accept`;
-//! * one **connection** thread per client, which parses request lines
-//!   and answers `load_grammar` / `stats` / `shutdown` inline —
+//! * one **acceptor** thread per listener, blocked in `accept`
+//!   (`net::Listeners::spawn`);
+//! * one **connection** thread per client, in `net::session`, which
+//!   parses request lines and answers `load_grammar` / `stats` /
+//!   `shutdown` inline —
 //!   grammar compilation runs here, on the loading client's time,
 //!   single-flighted by the [`GrammarStore`];
 //! * the fixed **worker pool**, which runs every `translate` /
@@ -34,24 +36,22 @@ use linguist_frontend::report::synthesize_tree;
 use linguist_frontend::translate::standard_intrinsics;
 use linguist_support::intern::NameTable;
 use linguist_support::json::Json;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::net::{session, Endpoints, Listeners};
 use crate::pool::{PoolStats, SubmitError, WorkerPool};
 use crate::proto::{
     error_reply, error_reply_with, eval_error_kind, kind, load_error_detail, load_error_kind,
-    ok_reply, translate_error_kind, FrameError, FrameReader, GrammarRef, Request, Work,
-    DEFAULT_MAX_FRAME_LEN,
+    ok_reply, translate_error_kind, GrammarRef, Request, Work, DEFAULT_MAX_FRAME_LEN,
 };
 use crate::stats::ServiceMetrics;
-use crate::store::{CompiledGrammar, GrammarStore, LoadError, StoreStats};
+use crate::store::{CompiledGrammar, GrammarStore, StoreStats};
 
 /// How to run the daemon.
 #[derive(Clone, Debug)]
@@ -114,10 +114,7 @@ pub struct ServiceState {
     engine: ExecEngine,
     default_deadline: Option<Duration>,
     max_frame_len: usize,
-    idle_timeout: Option<Duration>,
-    shutdown: AtomicBool,
-    unix_path: Option<PathBuf>,
-    tcp_addr: Option<SocketAddr>,
+    net: Arc<Endpoints>,
 }
 
 impl ServiceState {
@@ -129,14 +126,14 @@ impl ServiceState {
 
     /// Has a shutdown been requested?
     pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+        self.net.is_stopping()
     }
 
     /// Begin a graceful drain from outside the protocol — the SIGTERM
     /// path. Stops the acceptors exactly like a `shutdown` request;
     /// in-flight jobs still finish and `ServerHandle::wait` returns.
     pub fn begin_drain(&self) {
-        request_shutdown(self);
+        self.net.stop();
     }
 
     /// The execution engine (run counters for tests and stats).
@@ -162,24 +159,8 @@ impl Server {
     /// Propagates bind failures; fails with `InvalidInput` when the
     /// configuration names no listener at all.
     pub fn start(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
-        if cfg.unix_path.is_none() && cfg.tcp_addr.is_none() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "server config names no listener (unix_path or tcp_addr)",
-            ));
-        }
-        let unix_listener = match &cfg.unix_path {
-            Some(path) => Some(bind_unix(path)?),
-            None => None,
-        };
-        let tcp_listener = match &cfg.tcp_addr {
-            Some(addr) => Some(TcpListener::bind(addr)?),
-            None => None,
-        };
-        let tcp_addr = match &tcp_listener {
-            Some(l) => Some(l.local_addr()?),
-            None => None,
-        };
+        let listeners =
+            Listeners::bind("server", cfg.unix_path.as_deref(), cfg.tcp_addr.as_deref())?;
         let state = Arc::new(ServiceState {
             store: GrammarStore::new(cfg.cache_capacity),
             pool: WorkerPool::new(cfg.workers, cfg.queue_capacity),
@@ -189,28 +170,19 @@ impl Server {
             engine: ExecEngine::new(cfg.engine),
             default_deadline: cfg.default_deadline,
             max_frame_len: cfg.max_frame_len,
-            idle_timeout: cfg.idle_timeout,
-            shutdown: AtomicBool::new(false),
-            unix_path: cfg.unix_path,
-            tcp_addr,
+            net: listeners.endpoints(),
         });
-        let mut acceptors = Vec::new();
-        if let Some(listener) = unix_listener {
-            let state = Arc::clone(&state);
-            acceptors.push(
-                std::thread::Builder::new()
-                    .name("serve-accept-unix".to_string())
-                    .spawn(move || accept_unix(&listener, &state))?,
+        let conn_state = Arc::clone(&state);
+        let acceptors = listeners.spawn(cfg.idle_timeout, move |stream| {
+            let state = &conn_state;
+            session(
+                stream,
+                state.max_frame_len,
+                |line| dispatch_line(line, state),
+                |k| state.metrics.record_error(k),
+                || state.begin_drain(),
             );
-        }
-        if let Some(listener) = tcp_listener {
-            let state = Arc::clone(&state);
-            acceptors.push(
-                std::thread::Builder::new()
-                    .name("serve-accept-tcp".to_string())
-                    .spawn(move || accept_tcp(&listener, &state))?,
-            );
-        }
+        })?;
         Ok(ServerHandle { state, acceptors })
     }
 }
@@ -226,13 +198,13 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// The bound Unix socket path, if one was configured.
     pub fn unix_path(&self) -> Option<&Path> {
-        self.state.unix_path.as_deref()
+        self.state.net.unix_path.as_deref()
     }
 
     /// The bound TCP address, if one was configured (with the real
     /// port, even when the config asked for `:0`).
     pub fn tcp_addr(&self) -> Option<SocketAddr> {
-        self.state.tcp_addr
+        self.state.net.tcp_addr
     }
 
     /// The shared service state (counters for tests and embedding).
@@ -250,7 +222,7 @@ impl ServerHandle {
     /// Stop the daemon from outside: unblock the acceptors, drain, and
     /// clean up.
     pub fn shutdown(mut self) -> PoolStats {
-        request_shutdown(&self.state);
+        self.state.begin_drain();
         self.join_and_drain()
     }
 
@@ -260,7 +232,7 @@ impl ServerHandle {
         }
         self.state.pool.shutdown();
         let stats = self.state.pool.stats();
-        if let Some(path) = &self.state.unix_path {
+        if let Some(path) = &self.state.net.unix_path {
             let _unused = std::fs::remove_file(path);
         }
         stats
@@ -270,143 +242,8 @@ impl ServerHandle {
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         if !self.acceptors.is_empty() {
-            request_shutdown(&self.state);
+            self.state.begin_drain();
             let _stats = self.join_and_drain();
-        }
-    }
-}
-
-/// Bind a listening Unix socket at `path` such that the path appears only
-/// once the socket is listening: bind at a temporary name in the same
-/// directory, then rename it into place. A client that polls for the path
-/// can connect as soon as it sees it. The rename also replaces the socket
-/// file a dead daemon left behind, the expected restart path.
-pub(crate) fn bind_unix(path: &Path) -> std::io::Result<UnixListener> {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let tmp = path.with_file_name(format!(
-        ".{}.{}.bind",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _unused = std::fs::remove_file(&tmp);
-    let listener = UnixListener::bind(&tmp)?;
-    if let Err(e) = std::fs::rename(&tmp, path) {
-        let _unused = std::fs::remove_file(&tmp);
-        return Err(e);
-    }
-    Ok(listener)
-}
-
-/// Flip the shutdown flag and poke every listener awake so its
-/// blocking `accept` returns and the acceptor can observe the flag.
-fn request_shutdown(state: &ServiceState) {
-    if state.shutdown.swap(true, Ordering::SeqCst) {
-        return; // already requested
-    }
-    if let Some(path) = &state.unix_path {
-        let _unused = UnixStream::connect(path);
-    }
-    if let Some(addr) = state.tcp_addr {
-        let _unused = TcpStream::connect(addr);
-    }
-}
-
-fn accept_unix(listener: &UnixListener, state: &Arc<ServiceState>) {
-    for conn in listener.incoming() {
-        if state.is_shutting_down() {
-            return;
-        }
-        if let Ok(stream) = conn {
-            let state = Arc::clone(state);
-            let _unused = std::thread::Builder::new()
-                .name("serve-conn".to_string())
-                .spawn(move || {
-                    let _unused = stream.set_read_timeout(state.idle_timeout);
-                    serve_conn(stream, &state);
-                });
-        }
-    }
-}
-
-fn accept_tcp(listener: &TcpListener, state: &Arc<ServiceState>) {
-    for conn in listener.incoming() {
-        if state.is_shutting_down() {
-            return;
-        }
-        if let Ok(stream) = conn {
-            let state = Arc::clone(state);
-            let _unused = std::thread::Builder::new()
-                .name("serve-conn".to_string())
-                .spawn(move || {
-                    let _unused = stream.set_read_timeout(state.idle_timeout);
-                    serve_conn(stream, &state);
-                });
-        }
-    }
-}
-
-/// One client session: request lines in, reply lines out, in order.
-///
-/// The socket carries its idle read deadline as an OS read timeout
-/// (set by the acceptor), so a single timed-out read *is* the idle
-/// deadline firing. A stall mid-request earns a typed `idle_timeout`
-/// reply before the close; a connection that is merely idle between
-/// requests is closed silently. Either way the thread is freed — a
-/// slow-loris client cannot pin it.
-fn serve_conn<S: Read + Write>(stream: S, state: &Arc<ServiceState>) {
-    let mut frames = FrameReader::new(stream, state.max_frame_len);
-    loop {
-        let line = match frames.read_frame() {
-            Ok(line) => line,
-            Err(FrameError::TooLarge { limit }) => {
-                state.metrics.record_error(kind::FRAME_TOO_LARGE);
-                // No resync is possible (the frame boundary is lost),
-                // so reply typed and close.
-                let reply = error_reply(
-                    kind::FRAME_TOO_LARGE,
-                    &format!("request line exceeds the {}-byte frame bound", limit),
-                );
-                let w = frames.get_mut();
-                let _unused = writeln!(w, "{}", reply).and_then(|()| w.flush());
-                return;
-            }
-            Err(FrameError::IdleTimeout { mid_frame }) => {
-                if mid_frame {
-                    state.metrics.record_error(kind::IDLE_TIMEOUT);
-                    let reply = error_reply(
-                        kind::IDLE_TIMEOUT,
-                        "connection stalled mid-request past the idle deadline",
-                    );
-                    let w = frames.get_mut();
-                    let _unused = writeln!(w, "{}", reply).and_then(|()| w.flush());
-                }
-                return;
-            }
-            Err(FrameError::BadUtf8) => {
-                // The frame boundary is intact, so reply and carry on.
-                state.metrics.record_error(kind::BAD_REQUEST);
-                let reply = error_reply(kind::BAD_REQUEST, "request line is not UTF-8");
-                let w = frames.get_mut();
-                if writeln!(w, "{}", reply).and_then(|()| w.flush()).is_err() {
-                    return;
-                }
-                continue;
-            }
-            Err(FrameError::Eof | FrameError::TruncatedFrame | FrameError::Io(_)) => {
-                return; // client hung up
-            }
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (reply, stop) = dispatch_line(&line, state);
-        let w = frames.get_mut();
-        if writeln!(w, "{}", reply).and_then(|()| w.flush()).is_err() {
-            return;
-        }
-        if stop {
-            request_shutdown(state);
-            return;
         }
     }
 }
@@ -525,51 +362,23 @@ fn handle_check(state: &Arc<ServiceState>, gref: &GrammarRef) -> Json {
         explain_residual_copies: !state.config.disable_subsumption,
         ..LintConfig::default()
     };
-    let (handle, report) = match gref {
-        GrammarRef::Handle(h) => match state.store.get(h) {
-            Some(g) => {
-                let report = CheckReport {
-                    findings: run_lints(g.analysis(), g.spans(), &lint_cfg),
-                    passes: Some(g.passes()),
-                };
-                (Some(g.key.clone()), report)
+    let (handle, report) = match resolve(state, gref) {
+        Ok(g) => {
+            let report = CheckReport {
+                findings: run_lints(g.analysis(), g.spans(), &lint_cfg),
+                passes: Some(g.passes()),
+            };
+            (Some(g.key.clone()), report)
+        }
+        Err((k, reply)) => match gref {
+            GrammarRef::Source { source, .. } if k == kind::COMPILE => {
+                (None, check_source(source, &state.config, &lint_cfg))
             }
-            None => {
-                state.metrics.record_error(kind::GRAMMAR_NOT_FOUND);
-                return error_reply(
-                    kind::GRAMMAR_NOT_FOUND,
-                    &format!(
-                        "no resident grammar has handle `{}` (evicted or never loaded)",
-                        h
-                    ),
-                );
+            _ => {
+                state.metrics.record_error(k);
+                return reply;
             }
         },
-        GrammarRef::Source { source, scanner } => {
-            match state.store.load_with_engine(
-                source,
-                scanner.as_deref(),
-                None,
-                &state.config,
-                state.exec(),
-            ) {
-                Ok((g, _cached)) => {
-                    let report = CheckReport {
-                        findings: run_lints(g.analysis(), g.spans(), &lint_cfg),
-                        passes: Some(g.passes()),
-                    };
-                    (Some(g.key.clone()), report)
-                }
-                Err(LoadError::Compile(_)) => {
-                    (None, check_source(source, &state.config, &lint_cfg))
-                }
-                Err(e) => {
-                    let k = load_error_kind(&e);
-                    state.metrics.record_error(k);
-                    return error_reply_with(k, &e.to_string(), load_error_detail(&e));
-                }
-            }
-        }
     };
     ok_reply(vec![
         (

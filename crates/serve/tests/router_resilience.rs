@@ -21,7 +21,8 @@
 use linguist_serve::chaos::{ChaosProxy, Fault};
 use linguist_serve::client::Client;
 use linguist_serve::load::{grammar_variant, run_load, LoadConfig};
-use linguist_serve::router::{Router, RouterConfig, RouterHandle, ShardAddr};
+use linguist_serve::net::ShardAddr;
+use linguist_serve::router::{Router, RouterConfig, RouterHandle};
 use linguist_serve::server::{Server, ServerConfig, ServerHandle};
 use linguist_support::json::Json;
 use std::path::{Path, PathBuf};

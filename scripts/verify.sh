@@ -17,7 +17,10 @@
 #   8. checkpoint-overhead bench snapshot lands in target/
 #   9. serve smoke test: daemon on a temp Unix socket answers a load,
 #      a check (against the compiled cache, no re-analysis), a
-#      translate, and a stats round-trip, then shuts down cleanly
+#      translate, and a stats round-trip, then shuts down cleanly; a
+#      second daemon on an ephemeral loopback TCP port answers a ping,
+#      a load and a translate through `linguist client --tcp`, then
+#      shuts down cleanly
 #  10. lint gate: `linguist check --deny-warnings` accepts the meta
 #      grammar, and the JSON report parses and is deterministic
 #  11. fuzz smoke: a bounded run of the five-way differential oracle
@@ -141,6 +144,34 @@ target/release/linguist client --socket "$SOCK" shutdown > /dev/null
 wait "$SERVE_PID" || { echo "daemon exited non-zero"; exit 1; }
 [ ! -e "$SOCK" ] || { echo "socket file not cleaned up"; exit 1; }
 echo "serve round-trips and shuts down cleanly"
+# The same daemon over loopback TCP, on an ephemeral port it reports.
+TCP_LOG="$(mktemp /tmp/linguist-verify-tcp-XXXXXX.log)"
+target/release/linguist serve --tcp 127.0.0.1:0 --workers 2 --queue 8 2> "$TCP_LOG" &
+SERVE_PID=$!
+trap 'rm -rf "$CKPT"; kill "$SERVE_PID" 2>/dev/null || true; rm -f "$SOCK" "$TCP_LOG"' EXIT
+TCP_ADDR=""
+for _ in $(seq 1 100); do
+  TCP_ADDR="$(sed -n 's/^linguist serve: listening on tcp //p' "$TCP_LOG")"
+  [ -n "$TCP_ADDR" ] && break
+  sleep 0.05
+done
+[ -n "$TCP_ADDR" ] || { echo "daemon never reported its TCP address"; exit 1; }
+target/release/linguist client --tcp "$TCP_ADDR" ping > /dev/null
+HANDLE="$(target/release/linguist client --tcp "$TCP_ADDR" \
+    load crates/grammars/lg/calc.lg --scanner calc \
+  | python3 -c 'import json,sys; r=json.load(sys.stdin); assert r["ok"]; print(r["grammar"])')"
+target/release/linguist client --tcp "$TCP_ADDR" \
+    translate "$HANDLE" --input '1 + 2' \
+  | python3 -c '
+import json, sys
+r = json.load(sys.stdin)
+assert r["ok"], r
+assert r["outputs"], r
+'
+target/release/linguist client --tcp "$TCP_ADDR" shutdown > /dev/null
+wait "$SERVE_PID" || { echo "TCP daemon exited non-zero"; exit 1; }
+rm -f "$TCP_LOG"
+echo "serve round-trips over TCP and shuts down cleanly"
 
 echo "== linguist check lint gate =="
 target/release/linguist check --deny-warnings crates/grammars/lg/meta.lg > /dev/null
