@@ -10,9 +10,9 @@
 //! grammar is certainly non-circular; a cycle here is reported as
 //! (potential) circularity.
 
-use crate::grammar::{AttrClass, Grammar, SymbolKind};
+use crate::grammar::{AttrClass, Grammar, Production, Symbol, SymbolKind};
 use crate::ids::{AttrId, AttrOcc, OccPos, ProdId};
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// A potential circularity: a dependency cycle in a production graph.
 ///
@@ -38,193 +38,243 @@ pub type IoRelations = HashMap<u32, HashSet<(AttrId, AttrId)>>;
 /// Returns the per-symbol induced IO relations on success (useful to
 /// inspect information flow), or the first cycle found.
 ///
+/// Relations are bit matrices over attribute slots ([`Grammar::slot`]),
+/// iterated with a worklist; the reported cycle is the same on every call.
+///
 /// # Errors
 ///
 /// Returns [`Circularity`] describing a dependency cycle if the uniform
 /// test cannot prove the grammar non-circular.
 pub fn check_noncircular(g: &Grammar) -> Result<IoRelations, Circularity> {
-    let mut io: IoRelations = HashMap::new();
+    let prods = g.productions();
+    let graphs: Vec<ProdGraph> = prods.iter().map(|p| ProdGraph::new(g, p)).collect();
+    let masks = |class| -> Vec<Vec<u64>> {
+        let mask = |s: &Symbol| {
+            let mut m = vec![0; words(s.attrs.len())];
+            (s.attrs.iter().enumerate())
+                .filter(|&(_, &a)| g.attr(a).class == class)
+                .for_each(|(slot, _)| set(&mut m, slot));
+            m
+        };
+        g.symbols().iter().map(mask).collect()
+    };
+    let (inh, syn) = (masks(AttrClass::Inherited), masks(AttrClass::Synthesized));
+    // Symbol `s`'s relation: row `a` holds the synthesized slots that may
+    // depend on inherited slot `a`.
+    let mut rel: Vec<Vec<u64>> = (g.symbols().iter())
+        .map(|s| vec![0; s.attrs.len() * words(s.attrs.len())])
+        .collect();
+    // The productions each symbol's relation feeds.
+    let mut users = vec![Vec::new(); rel.len()];
+    for (p, graph) in graphs.iter().enumerate() {
+        for &(_, s, _) in &graph.children {
+            users[s].push(p);
+        }
+    }
 
-    // Fixed point over productions: propagate child IO through production
-    // graphs into LHS IO.
-    loop {
-        let mut changed = false;
-        for (pi, prod) in g.productions().iter().enumerate() {
-            let prod_id = ProdId(pi as u32);
-            let (nodes, edges) = production_graph(g, prod_id, &io);
-            let reach = transitive_closure(&nodes, &edges);
-            // New IO pairs for the LHS symbol.
-            for (&from, tos) in &reach {
-                let focc = nodes[from as usize];
-                if focc.pos != OccPos::Lhs || g.attr(focc.attr).class != AttrClass::Inherited {
-                    continue;
-                }
-                for &to in tos {
-                    let tocc = nodes[to as usize];
-                    if tocc.pos == OccPos::Lhs && g.attr(tocc.attr).class == AttrClass::Synthesized
-                    {
-                        changed |= io
-                            .entry(prod.lhs.0)
-                            .or_default()
-                            .insert((focc.attr, tocc.attr));
-                    }
-                }
+    let mut queued = vec![true; prods.len()];
+    let mut work: VecDeque<usize> = (0..prods.len()).collect();
+    let (mut rows, mut seen, mut stack) = (Vec::new(), Vec::new(), Vec::new());
+    while let Some(p) = work.pop_front() {
+        queued[p] = false;
+        let graph = &graphs[p];
+        graph.augment(&rel, &mut rows);
+        let lhs = prods[p].lhs.0 as usize;
+        let lw = syn[lhs].len();
+        let mut grew = false;
+        for a in ones(&inh[lhs]) {
+            reach(&rows, graph.words, a, &mut seen, &mut stack);
+            for (i, cell) in rel[lhs][a * lw..(a + 1) * lw].iter_mut().enumerate() {
+                let new = seen[i] & syn[lhs][i] & !*cell;
+                *cell |= new;
+                grew |= new != 0;
             }
         }
-        if !changed {
-            break;
+        for &u in users[lhs].iter().filter(|_| grew) {
+            if !std::mem::replace(&mut queued[u], true) {
+                work.push_back(u);
+            }
         }
     }
 
-    // Cycle check with the final relations.
-    for (pi, _) in g.productions().iter().enumerate() {
-        let prod_id = ProdId(pi as u32);
-        let (nodes, edges) = production_graph(g, prod_id, &io);
-        if let Some(cycle) = find_cycle(&nodes, &edges) {
-            return Err(Circularity {
-                prod: prod_id,
-                cycle: cycle.into_iter().map(|ix| nodes[ix as usize]).collect(),
-            });
+    for (p, graph) in graphs.iter().enumerate() {
+        graph.augment(&rel, &mut rows);
+        let next = |v, i| next_bit(graph.row(&rows, v), i).map(|m| (m, m + 1));
+        if dfs(graph.occs.len(), next).is_some() {
+            return Err(graph.find_cycle(ProdId(p as u32), &rows));
         }
     }
+    let mut io = IoRelations::new();
+    for (s, sym) in g.symbols().iter().enumerate() {
+        let pairs = pairs(&rel[s], sym.attrs.len()).map(|(a, b)| (sym.attrs[a], sym.attrs[b]));
+        io.entry(s as u32).or_default().extend(pairs);
+    }
+    io.retain(|_, pairs| !pairs.is_empty());
     Ok(io)
 }
 
-/// Build the dependency graph of one production: nodes are all attribute
-/// occurrences; edges are rule argument→target dependencies plus, for each
-/// nonterminal RHS occurrence, the child's induced inherited→synthesized
-/// edges.
-fn production_graph(
-    g: &Grammar,
-    prod_id: ProdId,
-    io: &IoRelations,
-) -> (Vec<AttrOcc>, Vec<(u32, u32)>) {
-    let prod = g.production(prod_id);
-    let mut nodes: Vec<AttrOcc> = Vec::new();
-    let mut index: HashMap<AttrOcc, u32> = HashMap::new();
-    let push = |occ: AttrOcc, nodes: &mut Vec<AttrOcc>, index: &mut HashMap<AttrOcc, u32>| {
-        *index.entry(occ).or_insert_with(|| {
-            nodes.push(occ);
-            nodes.len() as u32 - 1
-        })
-    };
+/// The dependency graph of one production over its attribute
+/// occurrences `occs`: the LHS's, each RHS symbol's, then the limb's,
+/// each symbol's in slot order.
+struct ProdGraph {
+    occs: Vec<AttrOcc>,
+    /// Rule edges (argument → target), in rule order.
+    edges: Vec<(usize, usize)>,
+    /// The rule edges as one bit row of `words` words per occurrence.
+    words: usize,
+    base: Vec<u64>,
+    /// `(offset, symbol, width)` of each nonterminal RHS occurrence.
+    children: Vec<(usize, usize, usize)>,
+}
 
-    for &a in &g.symbol(prod.lhs).attrs {
-        push(AttrOcc::lhs(a), &mut nodes, &mut index);
-    }
-    for (i, &s) in prod.rhs.iter().enumerate() {
-        for &a in &g.symbol(s).attrs {
-            push(AttrOcc::rhs(i as u16, a), &mut nodes, &mut index);
+impl ProdGraph {
+    fn new(g: &Grammar, prod: &Production) -> ProdGraph {
+        let (mut off, mut occs, mut children) = (Vec::new(), Vec::new(), Vec::new());
+        let rhs = (prod.rhs.iter().enumerate()).map(|(i, &s)| (OccPos::Rhs(i as u16), s));
+        let limb = prod.limb.map(|l| (OccPos::Limb, l));
+        let lhs = std::iter::once((OccPos::Lhs, prod.lhs));
+        for (pos, s) in lhs.chain(rhs).chain(limb) {
+            let sym = g.symbol(s);
+            if matches!(pos, OccPos::Rhs(_)) && sym.kind == SymbolKind::Nonterminal {
+                children.push((occs.len(), s.0 as usize, sym.attrs.len()));
+            }
+            off.push(occs.len());
+            occs.extend(sym.attrs.iter().map(|&attr| AttrOcc { pos, attr }));
+        }
+        let index = |occ: AttrOcc| match occ.pos {
+            OccPos::Lhs => g.slot(occ.attr),
+            OccPos::Rhs(i) => off[1 + i as usize] + g.slot(occ.attr),
+            OccPos::Limb => off[off.len() - 1] + g.slot(occ.attr),
+        };
+        let edges: Vec<_> = (prod.rules.iter().map(|&r| g.rule(r)))
+            .flat_map(|rule| {
+                let targets = rule.targets.iter().map(|&t| index(t));
+                (rule.arguments().into_iter())
+                    .flat_map(move |a| targets.clone().map(move |t| (index(a), t)))
+            })
+            .collect();
+        let words = words(occs.len());
+        let mut base = vec![0; occs.len() * words];
+        for &(from, to) in &edges {
+            set(&mut base[from * words..], to);
+        }
+        ProdGraph {
+            occs,
+            edges,
+            words,
+            base,
+            children,
         }
     }
-    if let Some(l) = prod.limb {
-        for &a in &g.symbol(l).attrs {
-            push(AttrOcc::limb(a), &mut nodes, &mut index);
-        }
+
+    fn row<'a>(&self, rows: &'a [u64], v: usize) -> &'a [u64] {
+        &rows[v * self.words..(v + 1) * self.words]
     }
 
-    let mut edges = Vec::new();
-    for &r in &prod.rules {
-        let rule = g.rule(r);
-        for arg in rule.arguments() {
-            let from = index[&arg];
-            for &t in &rule.targets {
-                edges.push((from, index[&t]));
+    /// The rule edges plus the children's current IO edges, into `rows`.
+    fn augment(&self, rel: &[Vec<u64>], rows: &mut Vec<u64>) {
+        rows.clear();
+        rows.extend_from_slice(&self.base);
+        for &(o, s, width) in &self.children {
+            for (a, b) in pairs(&rel[s], width) {
+                set(&mut rows[(o + a) * self.words..], o + b);
             }
         }
     }
-    // Child IO edges.
-    for (i, &s) in prod.rhs.iter().enumerate() {
-        if g.symbol(s).kind != SymbolKind::Nonterminal {
+
+    /// The cycle to report, from the augmented `rows`: the first one found
+    /// taking each occurrence's rule edges in rule order, then its child IO
+    /// edges in slot order. (Its row repeats the rule edges among the IO
+    /// edges; a repeated edge changes no search.)
+    fn find_cycle(&self, prod: ProdId, rows: &[u64]) -> Circularity {
+        let mut adj = vec![Vec::new(); self.occs.len()];
+        for &(from, to) in &self.edges {
+            adj[from].push(to);
+        }
+        for (v, succ) in adj.iter_mut().enumerate() {
+            succ.extend(ones(self.row(rows, v)));
+        }
+        let cycle = dfs(adj.len(), |v, i| adj[v].get(i).map(|&m| (m, i + 1)));
+        let cycle = cycle.expect("find_cycle runs on cyclic graphs only");
+        Circularity {
+            prod,
+            cycle: cycle.into_iter().map(|v| self.occs[v]).collect(),
+        }
+    }
+}
+
+/// The first cycle a depth-first search from each of `n` nodes in turn
+/// finds, closed (its first node repeated at the end). `next(v, i)` is
+/// `v`'s first successor at or after cursor `i`, with the cursor after it.
+fn dfs(n: usize, next: impl Fn(usize, usize) -> Option<(usize, usize)>) -> Option<Vec<usize>> {
+    // 0 = unvisited, 1 = on the search path, 2 = done.
+    let mut state = vec![0u8; n];
+    let mut path = Vec::new();
+    for s in 0..n {
+        if state[s] != 0 {
             continue;
         }
-        if let Some(pairs) = io.get(&s.0) {
-            for &(inh, syn) in pairs {
-                edges.push((
-                    index[&AttrOcc::rhs(i as u16, inh)],
-                    index[&AttrOcc::rhs(i as u16, syn)],
-                ));
-            }
-        }
-    }
-    (nodes, edges)
-}
-
-fn transitive_closure(nodes: &[AttrOcc], edges: &[(u32, u32)]) -> HashMap<u32, HashSet<u32>> {
-    let mut adj: HashMap<u32, Vec<u32>> = HashMap::new();
-    for &(a, b) in edges {
-        adj.entry(a).or_default().push(b);
-    }
-    let mut reach: HashMap<u32, HashSet<u32>> = HashMap::new();
-    for start in 0..nodes.len() as u32 {
-        let mut seen: HashSet<u32> = HashSet::new();
-        let mut stack = vec![start];
-        while let Some(n) = stack.pop() {
-            if let Some(nexts) = adj.get(&n) {
-                for &m in nexts {
-                    if seen.insert(m) {
-                        stack.push(m);
-                    }
-                }
-            }
-        }
-        reach.insert(start, seen);
-    }
-    reach
-}
-
-/// Find any cycle; returns the node indices along it.
-fn find_cycle(nodes: &[AttrOcc], edges: &[(u32, u32)]) -> Option<Vec<u32>> {
-    let mut adj: HashMap<u32, Vec<u32>> = HashMap::new();
-    for &(a, b) in edges {
-        adj.entry(a).or_default().push(b);
-    }
-    // 0 = unvisited, 1 = on stack, 2 = done.
-    let mut state = vec![0u8; nodes.len()];
-    let mut parent: Vec<Option<u32>> = vec![None; nodes.len()];
-
-    fn dfs(
-        n: u32,
-        adj: &HashMap<u32, Vec<u32>>,
-        state: &mut [u8],
-        parent: &mut [Option<u32>],
-    ) -> Option<(u32, u32)> {
-        state[n as usize] = 1;
-        if let Some(nexts) = adj.get(&n) {
-            for &m in nexts {
-                match state[m as usize] {
-                    0 => {
-                        parent[m as usize] = Some(n);
-                        if let Some(hit) = dfs(m, adj, state, parent) {
-                            return Some(hit);
-                        }
-                    }
-                    1 => return Some((n, m)),
-                    _ => {}
-                }
-            }
-        }
-        state[n as usize] = 2;
-        None
-    }
-
-    for s in 0..nodes.len() as u32 {
-        if state[s as usize] == 0 {
-            if let Some((from, to)) = dfs(s, &adj, &mut state, &mut parent) {
-                // Walk back from `from` to `to` along parents.
-                let mut path = vec![from];
-                let mut cur = from;
-                while cur != to {
-                    cur = parent[cur as usize].expect("on-stack node has parent");
-                    path.push(cur);
-                }
-                path.reverse();
-                path.push(to); // close the loop for display
-                return Some(path);
+        state[s] = 1;
+        path.push((s, 0));
+        while let Some((v, i)) = path.pop() {
+            let Some((m, j)) = next(v, i) else {
+                state[v] = 2;
+                continue;
+            };
+            path.push((v, j));
+            if state[m] == 0 {
+                state[m] = 1;
+                path.push((m, 0));
+            } else if state[m] == 1 {
+                let at = path.iter().position(|&(u, _)| u == m).expect("on the path");
+                return Some(path[at..].iter().map(|&(u, _)| u).chain([m]).collect());
             }
         }
     }
     None
+}
+
+/// The relation of a symbol with `width` slots as (inherited slot,
+/// synthesized slot) pairs, in slot order.
+fn pairs(rel: &[u64], width: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let rows = rel.chunks(words(width).max(1)).enumerate();
+    rows.flat_map(|(a, row)| ones(row).map(move |b| (a, b)))
+}
+
+/// Mark in `seen` every occurrence reachable from `from` along `rows`.
+fn reach(rows: &[u64], words: usize, from: usize, seen: &mut Vec<u64>, stack: &mut Vec<usize>) {
+    seen.clear();
+    seen.resize(words, 0);
+    stack.push(from);
+    while let Some(v) = stack.pop() {
+        for (i, s) in seen.iter_mut().enumerate() {
+            let new = rows[v * words + i] & !*s;
+            *s |= new;
+            stack.extend(ones(&[new]).map(|b| i * 64 + b));
+        }
+    }
+}
+
+/// The first set bit of `row` at or after `from`.
+fn next_bit(row: &[u64], from: usize) -> Option<usize> {
+    (from / 64..row.len()).find_map(|w| {
+        let low = if w == from / 64 { from % 64 } else { 0 };
+        let x = row[w] >> low << low;
+        (x != 0).then(|| w * 64 + x.trailing_zeros() as usize)
+    })
+}
+
+fn words(bits: usize) -> usize {
+    bits.div_ceil(64)
+}
+
+fn set(row: &mut [u64], bit: usize) {
+    row[bit / 64] |= 1 << (bit % 64);
+}
+
+/// The set bits of a row, ascending.
+fn ones(row: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    std::iter::successors(next_bit(row, 0), |&b| next_bit(row, b + 1))
 }
 
 #[cfg(test)]
@@ -292,6 +342,45 @@ mod tests {
         let g = b.build().unwrap();
         let err = check_noncircular(&g).unwrap_err();
         assert_eq!(err.prod, ProdId(0));
+    }
+
+    #[test]
+    fn reported_cycle_is_the_same_on_every_call() {
+        // root -> T ; T -> x. In T -> x: T.S1 = T.I and T.S2 = T.I. In
+        // root: T.I = T.S1 + T.S2. Both T.I -> T.S1 -> T.I and
+        // T.I -> T.S2 -> T.I close a cycle; the one through the lower
+        // slot (S1) is the one reported.
+        let mut b = AgBuilder::new();
+        let root = b.nonterminal("root");
+        let t = b.nonterminal("T");
+        let ti = b.inherited(t, "I", "int");
+        let s1 = b.synthesized(t, "S1", "int");
+        let s2 = b.synthesized(t, "S2", "int");
+        let x = b.terminal("x");
+        let p0 = b.production(root, vec![t], None);
+        b.rule(
+            p0,
+            vec![AttrOcc::rhs(0, ti)],
+            Expr::binop(
+                crate::expr::BinOp::Add,
+                Expr::Occ(AttrOcc::rhs(0, s1)),
+                Expr::Occ(AttrOcc::rhs(0, s2)),
+            ),
+        );
+        let p1 = b.production(t, vec![x], None);
+        b.rule(p1, vec![AttrOcc::lhs(s1)], Expr::Occ(AttrOcc::lhs(ti)));
+        b.rule(p1, vec![AttrOcc::lhs(s2)], Expr::Occ(AttrOcc::lhs(ti)));
+        b.start(root);
+        let g = b.build().unwrap();
+        let cycles: HashSet<Vec<AttrOcc>> = (0..100)
+            .map(|_| check_noncircular(&g).unwrap_err().cycle)
+            .collect();
+        let expected = vec![
+            AttrOcc::rhs(0, ti),
+            AttrOcc::rhs(0, s1),
+            AttrOcc::rhs(0, ti),
+        ];
+        assert_eq!(cycles, HashSet::from([expected]));
     }
 
     #[test]

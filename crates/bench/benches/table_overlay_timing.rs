@@ -37,6 +37,7 @@ fn main() {
     println!("   semantic analysis 1 (O2) - {:>10}", us(t.semantic1));
     println!("   semantic analysis 2 (O3) - {:>10}", us(t.semantic2));
     println!("  evaluability test    (O4) - {:>10}", us(t.evaluability));
+    println!("    of which circularity    - {:>10}", us(t.circularity));
     println!("  message collection   (O5) - {:>10}", us(t.messages));
     println!("  listing generation   (O6) - {:>10}", us(t.listing));
     for (i, g) in t.generation.iter().enumerate() {
@@ -53,6 +54,10 @@ fn main() {
     println!(
         "evaluability share:   {:.0}% (paper: 9/243 = 4%)",
         100.0 * analysis_cost.as_secs_f64() / t.total_excluding_generation().as_secs_f64()
+    );
+    println!(
+        "circularity share:    {:.0}% of the evaluability overlay",
+        100.0 * t.circularity.as_secs_f64() / analysis_cost.as_secs_f64()
     );
 
     // Evaluation passes are I/O bound: every pass moves the whole APT

@@ -51,6 +51,10 @@ pub struct OverlayTimings {
     /// Overlay 4: evaluability test (circularity, passes, lifetimes,
     /// subsumption).
     pub evaluability: Duration,
+    /// The part of `evaluability` spent in the non-circularity test (both
+    /// runs, before and after the optimizer); not counted again in
+    /// [`OverlayTimings::total`].
+    pub circularity: Duration,
     /// Overlay 5: semantic-message collection.
     pub messages: Duration,
     /// Overlay 6: listing generation.
@@ -90,6 +94,7 @@ impl fmt::Display for OverlayTimings {
         writeln!(f, " first attrib eval overlay - {:?}", self.semantic1)?;
         writeln!(f, "second attrib eval overlay - {:?}", self.semantic2)?;
         writeln!(f, " evaluability test overlay - {:?}", self.evaluability)?;
+        writeln!(f, "      of which circularity - {:?}", self.circularity)?;
         writeln!(f, "  message collection overlay - {:?}", self.messages)?;
         writeln!(f, "listing generation overlay - {:?}", self.listing)?;
         for (i, g) in self.generation.iter().enumerate() {
@@ -265,8 +270,13 @@ fn analyze_timed(
 
     // Overlay 4: evaluability.
     let t = Instant::now();
-    let mut io = check_noncircular(&grammar)
-        .map_err(|e| DriverError::Analysis(AnalysisError::Circular(e)))?;
+    let circular = |g: &linguist_ag::Grammar, spent: &mut Duration| {
+        let t = Instant::now();
+        let io = check_noncircular(g);
+        *spent += t.elapsed();
+        io.map_err(|e| DriverError::Analysis(AnalysisError::Circular(e)))
+    };
+    let mut io = circular(&grammar, &mut timings.circularity)?;
     // Grammar optimizer: rewrite before any scheduling so pass
     // assignment, lifetimes, and subsumption all see the smaller rule
     // set. Runs only on grammars that already passed completeness and
@@ -274,8 +284,7 @@ fn analyze_timed(
     let opt = if config.optimize {
         let report = linguist_ag::dataflow::optimize(&mut grammar);
         spans.remap_rules(&report.rule_remap);
-        io = check_noncircular(&grammar)
-            .map_err(|e| DriverError::Analysis(AnalysisError::Circular(e)))?;
+        io = circular(&grammar, &mut timings.circularity)?;
         Some(report)
     } else {
         None

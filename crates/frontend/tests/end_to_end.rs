@@ -7,6 +7,7 @@ use linguist_eval::value::Value;
 use linguist_frontend::driver::{run, DriverOptions};
 use linguist_frontend::Translator;
 use linguist_lexgen::ScannerDef;
+use std::time::Duration;
 
 /// A desk calculator: sums and differences over integers, with a running
 /// position attribute flowing down (to exercise inherited flow).
@@ -88,6 +89,10 @@ fn driver_reports_overlays_and_listing() {
     assert!(out.listing.contains("# pass 1"));
     assert!(out.listing.contains("STATISTICS"));
     assert_eq!(out.timings.generation.len(), 1);
+    // The circularity test is timed as a part of overlay 4.
+    let t = &out.timings;
+    assert!(t.circularity > Duration::ZERO && t.circularity <= t.evaluability);
+    assert!(t.to_string().contains("of which circularity"));
     assert!(out.lines_per_minute() > 0.0);
     assert_eq!(out.generated.passes.len(), 1);
     assert!(out.generated.passes[0].source.contains("procedure"));

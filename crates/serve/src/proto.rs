@@ -348,6 +348,9 @@ pub enum FrameError {
 pub struct FrameReader<R> {
     inner: R,
     buf: Vec<u8>,
+    /// How many bytes at the front of `buf` are known to hold no
+    /// newline, so each read scans only the bytes it added.
+    scanned: usize,
     max_len: usize,
 }
 
@@ -358,6 +361,7 @@ impl<R: Read> FrameReader<R> {
         FrameReader {
             inner,
             buf: Vec::new(),
+            scanned: 0,
             max_len: max_len.max(1),
         }
     }
@@ -367,7 +371,9 @@ impl<R: Read> FrameReader<R> {
         &mut self.inner
     }
 
-    /// Read one `\n`-terminated frame, without the terminator.
+    /// Read one `\n`-terminated frame, without the terminator. A frame
+    /// may hold at most `max_len` bytes before its newline, however the
+    /// bytes arrive.
     ///
     /// # Errors
     ///
@@ -376,19 +382,22 @@ impl<R: Read> FrameReader<R> {
     pub fn read_frame(&mut self) -> Result<String, FrameError> {
         let mut chunk = [0u8; 4096];
         loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let rest = self.buf.split_off(pos + 1);
+            let newline = self.buf[self.scanned..].iter().position(|&b| b == b'\n');
+            self.scanned = newline.map_or(self.buf.len(), |i| self.scanned + i);
+            if self.scanned > self.max_len {
+                return Err(FrameError::TooLarge {
+                    limit: self.max_len,
+                });
+            }
+            if newline.is_some() {
+                let rest = self.buf.split_off(self.scanned + 1);
+                self.scanned = 0;
                 let mut frame = std::mem::replace(&mut self.buf, rest);
                 frame.pop(); // the newline
                 if frame.last() == Some(&b'\r') {
                     frame.pop();
                 }
                 return String::from_utf8(frame).map_err(|_| FrameError::BadUtf8);
-            }
-            if self.buf.len() > self.max_len {
-                return Err(FrameError::TooLarge {
-                    limit: self.max_len,
-                });
             }
             match self.inner.read(&mut chunk) {
                 Ok(0) => {
@@ -573,6 +582,66 @@ mod tests {
             r.read_frame().unwrap_err(),
             FrameError::TooLarge { limit: 64 }
         ));
+    }
+
+    /// A `ping` request padded with spaces to `len` bytes, newline
+    /// excluded.
+    fn ping_line(len: usize) -> Vec<u8> {
+        let mut line = b"{\"op\":\"ping\"}".to_vec();
+        line.resize(len, b' ');
+        line.push(b'\n');
+        line
+    }
+
+    /// A reader that hands out at most `step` bytes per read.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.step.min(out.len()).min(self.data.len());
+            out[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn frame_reader_bounds_the_bytes_before_the_newline() {
+        let line = ping_line(64);
+        let mut r = FrameReader::new(&line[..], 64);
+        assert_eq!(r.read_frame().unwrap().trim_end(), "{\"op\":\"ping\"}");
+        // Each line arrives whole in one read, newline included.
+        for len in [65, 1026, 4026] {
+            let line = ping_line(len);
+            let mut r = FrameReader::new(&line[..], 64);
+            assert!(
+                matches!(
+                    r.read_frame().unwrap_err(),
+                    FrameError::TooLarge { limit: 64 }
+                ),
+                "{}-byte line",
+                len
+            );
+        }
+    }
+
+    #[test]
+    fn frame_reader_takes_a_large_frame_one_byte_per_read() {
+        let line = ping_line(1 << 20);
+        let mut r = FrameReader::new(
+            Trickle {
+                data: &line,
+                step: 1,
+            },
+            DEFAULT_MAX_FRAME_LEN,
+        );
+        let frame = r.read_frame().unwrap();
+        assert_eq!(frame.len(), 1 << 20);
+        assert!(parse(&frame).is_ok());
+        assert!(matches!(r.read_frame().unwrap_err(), FrameError::Eof));
     }
 
     #[test]
