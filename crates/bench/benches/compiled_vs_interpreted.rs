@@ -7,7 +7,7 @@
 //! paths over the same tree with the same serve-job options:
 //!
 //! * `interpreted` — the in-process multi-pass interpreter exactly as
-//!   a warm daemon job runs it (memory backing, profile on);
+//!   a warm daemon job runs it (memory backing);
 //! * `file_interpreted` — the same interpreter with pass files on disk,
 //!   the paper-faithful default;
 //! * `aot` — the checked-in generated evaluator, resolved by content
@@ -73,7 +73,6 @@ fn main() {
         // The exact options a warm daemon job uses.
         let opts = EvalOptions {
             strategy,
-            profile: true,
             backing: Backing::Memory,
             ..EvalOptions::default()
         };
@@ -103,7 +102,6 @@ fn main() {
         // CLI and batch paths run by default.
         let file_opts = EvalOptions {
             strategy,
-            profile: true,
             backing: Backing::Disk,
             ..EvalOptions::default()
         };
@@ -151,7 +149,7 @@ fn main() {
     let json = format!(
         "{{\"budget\":{},\"iters\":{},\"aot_speedup_geomean\":{:.2},\
          \"aot_speedup_vs_files_geomean\":{:.2},\
-         \"note\":\"{}-core host; serve-shaped warm jobs (profile on); interpreted_us is \
+         \"note\":\"{}-core host; serve-shaped warm jobs (the interpreter always counts its passes); interpreted_us is \
          the serve tier's memory-backed fast path, file_interpreted_us the paper-faithful \
          disk-backed default; aot_us includes per-job APT framing at the ABI boundary\",\"rows\":[{}]}}",
         BUDGET,

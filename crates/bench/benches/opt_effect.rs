@@ -80,12 +80,11 @@ fn measure(source: &str, optimize: bool, budget: usize, funcs: &Funcs) -> (Vec<u
     };
     let eval_opts = EvalOptions {
         strategy,
-        profile: true,
         backing: Backing::Memory,
         ..EvalOptions::default()
     };
     let eval = evaluate(&analysis, funcs, &tree, &eval_opts).expect("evaluates");
-    let metrics = eval.metrics.as_ref().expect("profiled");
+    let metrics = &eval.stats;
     let records_written: u64 = metrics.initial_records
         + metrics
             .passes

@@ -11,7 +11,7 @@
 
 use linguist_bench::{rule, write_snapshot};
 use linguist_eval::batch::BatchEvaluator;
-use linguist_eval::machine::{Backing, EvalOptions};
+use linguist_eval::machine::{Backing, EvalOptions, EvalStats};
 use linguist_eval::tree::PTree;
 use linguist_eval::Funcs;
 use linguist_frontend::report::metrics_json;
@@ -65,6 +65,7 @@ fn main() {
     let mut baseline = 0.0f64;
     let mut at4 = None;
     let mut sweep_rows = Vec::new();
+    let mut record = EvalStats::default();
     for workers in [1usize, 2, 4, 8] {
         // Best-of-3 to shake scheduler noise out of the table.
         let best = (0..3)
@@ -100,25 +101,16 @@ fn main() {
             jps,
             jps / baseline
         ));
+        record = best.eval;
     }
 
-    // One profiled pass over the same batch gives the snapshot an I/O
-    // dimension: per-pass record/byte traffic aggregated across jobs.
-    let profiled_opts = EvalOptions {
-        profile: true,
-        ..opts.clone()
-    };
-    let profiled = BatchEvaluator::with_options(4, profiled_opts).run(&tr.analysis, &funcs, &trees);
-    assert_eq!(profiled.stats.failed, 0);
-    let metrics = profiled
-        .stats
-        .metrics
-        .as_ref()
-        .expect("profiled batch collects metrics");
+    // Every batch sums its jobs' evaluation records, which gives the
+    // snapshot an I/O dimension: per-pass record/byte traffic
+    // aggregated across jobs.
     println!(
-        "\nprofiled: {} initial records, {} total file bytes across {} jobs",
-        metrics.initial_records,
-        metrics.total_io_bytes(),
+        "\n{} initial records, {} total file bytes across {} jobs",
+        record.initial_records,
+        record.total_io_bytes(),
         trees.len()
     );
 
@@ -132,7 +124,7 @@ fn main() {
             cores,
             baseline,
             sweep_rows.join(","),
-            metrics_json(metrics)
+            metrics_json(&record)
         ),
     );
 

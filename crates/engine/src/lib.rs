@@ -36,7 +36,9 @@ use linguist_ag::passes::Direction;
 use linguist_codegen::rustgen;
 use linguist_eval::compiled::encode_outputs;
 use linguist_eval::funcs::Funcs;
-use linguist_eval::machine::{evaluate, EvalError, EvalOptions, EvalStats, Evaluation, Strategy};
+use linguist_eval::machine::{
+    evaluate, EvalError, EvalOptions, EvalStats, Evaluation, PassStats, Strategy,
+};
 use linguist_eval::tree::PTree;
 use linguist_eval::value::Value;
 use linguist_eval::AptWriter;
@@ -271,9 +273,11 @@ impl Engine {
     /// whose result is returned verbatim with [`EngineOutcome::fallback`]
     /// set.
     ///
-    /// Compiled evaluations ignore interpreter-only instrumentation in
-    /// `opts` (budget metering, fault injection, profiling); outputs are
-    /// unaffected.
+    /// A compiled evaluation's [`EvalStats`] holds the boundary-0 totals
+    /// and one row per pass, numbered and with its read direction, whose
+    /// counts are zero: generated code does not count. It ignores the
+    /// interpreter-only options in `opts` (budget metering, fault
+    /// injection); outputs are unaffected.
     pub fn evaluate(
         &self,
         prepared: &PreparedEngine,
@@ -288,8 +292,8 @@ impl Engine {
                 self.interpret(analysis, funcs, tree, opts, Some(reason.clone()))
             }
             Route::Aot(f) => {
-                let input = match compiled_input(analysis, tree, opts) {
-                    Ok(b) => b,
+                let (input, stats) = match compiled_input(analysis, tree, opts) {
+                    Ok(i) => i,
                     Err(e) => {
                         return EngineOutcome {
                             result: Err(e),
@@ -302,11 +306,7 @@ impl Engine {
                     Ok(outputs) => {
                         self.counters.aot_runs.fetch_add(1, Ordering::Relaxed);
                         EngineOutcome {
-                            result: Ok(Evaluation {
-                                outputs,
-                                stats: EvalStats::default(),
-                                metrics: None,
-                            }),
+                            result: Ok(Evaluation { outputs, stats }),
                             engine_used: EngineKind::CompiledAot,
                             fallback: None,
                         }
@@ -335,7 +335,7 @@ impl Engine {
         tree: &PTree,
         opts: &EvalOptions,
     ) -> Result<Vec<u8>, String> {
-        let input = compiled_input(analysis, tree, opts).map_err(|e| e.to_string())?;
+        let (input, _) = compiled_input(analysis, tree, opts).map_err(|e| e.to_string())?;
         match &prepared.route {
             Route::Interpret => Err("interpreted route has no compiled output".to_string()),
             Route::Degraded(reason) => Err(reason.to_string()),
@@ -402,11 +402,13 @@ fn run_aot(f: AotFn, input: &[u8]) -> Result<Vec<(AttrId, Value)>, String> {
 /// The interpreter's front door, replicated: validate the tree, check
 /// strategy/first-pass compatibility, then serialize boundary 0 exactly
 /// as `PTree::write_postfix`/`write_prefix` would for the interpreter.
+/// Returns the file with the compiled run's record: boundary 0's totals
+/// and a zero-count row per pass.
 fn compiled_input(
     analysis: &Analysis,
     tree: &PTree,
     opts: &EvalOptions,
-) -> Result<Vec<u8>, EvalError> {
+) -> Result<(Vec<u8>, EvalStats), EvalError> {
     tree.validate(&analysis.grammar)?;
     if analysis.passes.num_passes() > 0 {
         let first = analysis.passes.direction(1);
@@ -427,8 +429,16 @@ fn compiled_input(
         Strategy::BottomUp => tree.write_postfix(&analysis.grammar, &analysis.lifetimes, &mut w)?,
         Strategy::Prefix => tree.write_prefix(&analysis.grammar, &analysis.lifetimes, &mut w)?,
     }
-    let (_summary, bytes) = w.finish_owned()?;
-    Ok(bytes)
+    let (summary, bytes) = w.finish_owned()?;
+    let stats = EvalStats {
+        initial_records: summary.records,
+        initial_bytes: summary.bytes,
+        passes: (1..=analysis.passes.num_passes() as u16)
+            .map(|k| PassStats::new(k, opts.strategy.read_dir(k)))
+            .collect(),
+        ..EvalStats::default()
+    };
+    Ok((bytes, stats))
 }
 
 /// The compiled evaluator entry point: boundary-0 APT file in, root

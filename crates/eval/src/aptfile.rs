@@ -33,7 +33,6 @@
 //! [`evaluate_resumable`](crate::machine::evaluate_resumable)).
 
 use crate::crc;
-use crate::metrics::IoCounters;
 use crate::value::{DecodeError, Value};
 use linguist_ag::ids::{AttrId, ProdId, SymbolId};
 use std::cell::Cell;
@@ -485,7 +484,6 @@ pub struct AptWriter {
     records: u64,
     crc: u32,
     sync: bool,
-    profile: Option<Arc<IoCounters>>,
     fault: Option<FaultSpec>,
 }
 
@@ -517,7 +515,6 @@ impl AptWriter {
                 records: 0,
                 crc: 0,
                 sync: false,
-                profile: None,
                 fault: None,
             })
         };
@@ -541,15 +538,8 @@ impl AptWriter {
             records: 0,
             crc: 0,
             sync: false,
-            profile: None,
             fault: None,
         }
-    }
-
-    /// Attach a profiling counter pair; every subsequent [`write`](Self::write)
-    /// bumps it atomically.
-    pub fn set_profile(&mut self, counters: Arc<IoCounters>) {
-        self.profile = Some(counters);
     }
 
     /// Attach an injected fault (test support): writes crossing
@@ -611,9 +601,6 @@ impl AptWriter {
         }
         self.bytes += framed;
         self.records += 1;
-        if let Some(p) = &self.profile {
-            p.add_record(framed);
-        }
         Ok(())
     }
 
@@ -724,7 +711,6 @@ pub struct AptReader {
     records: u64,
     total_records: u64,
     total_bytes: u64,
-    profile: Option<Arc<IoCounters>>,
     fault: Option<FaultSpec>,
 }
 
@@ -918,15 +904,8 @@ impl AptReader {
             records: 0,
             total_records,
             total_bytes,
-            profile: None,
             fault: None,
         })
-    }
-
-    /// Attach a profiling counter pair; every subsequent [`next`](Self::next)
-    /// bumps it atomically.
-    pub fn set_profile(&mut self, counters: Arc<IoCounters>) {
-        self.profile = Some(counters);
     }
 
     /// Attach an injected fault (test support): reads crossing
@@ -1008,9 +987,6 @@ impl AptReader {
         }
         self.bytes += framed;
         self.records += 1;
-        if let Some(p) = &self.profile {
-            p.add_record(framed);
-        }
         let rec = Record::decode(payload)?;
         self.pos = match dir {
             ReadDir::Forward => start + framed,
@@ -1565,28 +1541,6 @@ mod tests {
         std::fs::write(&path, &data).unwrap();
         let corrupt = file_summary(&path).unwrap();
         assert_ne!(corrupt.crc, written.crc);
-    }
-
-    #[test]
-    fn profile_counters_match_internal_tallies() {
-        use crate::metrics::IoCounters;
-        let dir = TempAptDir::new().unwrap();
-        let path = dir.boundary(13);
-        let wc = IoCounters::shared();
-        let mut w = AptWriter::create(&path).unwrap();
-        w.set_profile(wc.clone());
-        for i in 0..6 {
-            w.write(&rec(i)).unwrap();
-        }
-        let (bytes, records) = w.finish().unwrap();
-        assert_eq!(wc.snapshot(), (records, bytes));
-
-        let rc = IoCounters::shared();
-        let mut r = AptReader::open(&path, ReadDir::Backward).unwrap();
-        r.set_profile(rc.clone());
-        while r.next().unwrap().is_some() {}
-        assert_eq!(rc.snapshot(), (r.records_read(), r.bytes_read()));
-        assert_eq!(rc.snapshot(), (records, bytes));
     }
 
     #[test]

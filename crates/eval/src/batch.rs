@@ -18,14 +18,13 @@
 //! `Sync`, crossed by reference via `std::thread::scope`.
 //!
 //! Results come back in input order together with a [`BatchStats`]
-//! aggregate: per-pass I/O and rule counts summed across jobs (pass *k*
-//! of every job contributes to slot *k*), plus wall time and jobs/sec
-//! for throughput experiments.
+//! aggregate: the jobs' evaluation records summed into one
+//! ([`EvalStats::merge`]: pass *k* of every job adds into row *k*), plus
+//! wall time and jobs/sec for throughput experiments.
 
 use crate::aptfile::AptError;
 use crate::funcs::Funcs;
-use crate::machine::{evaluate, EvalError, EvalOptions, Evaluation, PassStats};
-use crate::metrics::EvalMetrics;
+use crate::machine::{evaluate, EvalError, EvalOptions, EvalStats, Evaluation};
 use crate::tree::PTree;
 use linguist_ag::analysis::Analysis;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -151,20 +150,16 @@ pub struct BatchStats {
     pub failed: usize,
     /// Worker threads used.
     pub workers: usize,
-    /// Pass-by-pass totals: slot *k* sums pass *k* of every successful
-    /// job (durations sum CPU-side pass time across workers, so they can
-    /// exceed wall time).
-    pub per_pass: Vec<PassStats>,
-    /// Total bytes moved through intermediate files, all jobs.
-    pub total_io_bytes: u64,
-    /// Total semantic functions evaluated, all jobs.
-    pub total_rules: u64,
+    /// The successful jobs' evaluation records summed with
+    /// [`EvalStats::merge`]: row *k* sums pass *k* of every job
+    /// (durations sum CPU-side pass time across workers, so they can
+    /// exceed wall time), and `retries` counts the pass attempts re-run
+    /// under the jobs' [`RetryPolicy`](crate::machine::RetryPolicy).
+    /// Jobs run by compiled code add their boundary-0 totals and
+    /// zero-count rows.
+    pub eval: EvalStats,
     /// Wall-clock time of the whole batch.
     pub wall: Duration,
-    /// Pass attempts re-run under the jobs'
-    /// [`RetryPolicy`](crate::machine::RetryPolicy), summed across
-    /// successful jobs.
-    pub retried: u64,
     /// Jobs that succeeded only after at least one retried pass — the
     /// runs a non-recovering batch would have failed.
     pub recovered: usize,
@@ -174,10 +169,6 @@ pub struct BatchStats {
     pub panicked: usize,
     /// One typed entry per failed job, in input order.
     pub failures: Vec<JobFailure>,
-    /// Aggregated pass-level profile across successful jobs, present
-    /// when the batch evaluated with
-    /// [`EvalOptions::profile`](crate::machine::EvalOptions::profile) on.
-    pub metrics: Option<EvalMetrics>,
 }
 
 impl BatchStats {
@@ -187,29 +178,6 @@ impl BatchStats {
             return 0.0;
         }
         self.jobs as f64 / self.wall.as_secs_f64()
-    }
-
-    fn absorb(&mut self, stats: &crate::machine::EvalStats) {
-        if self.per_pass.len() < stats.passes.len() {
-            self.per_pass
-                .resize_with(stats.passes.len(), PassStats::default);
-        }
-        for (slot, pass) in self.per_pass.iter_mut().zip(&stats.passes) {
-            slot.duration += pass.duration;
-            slot.bytes_read += pass.bytes_read;
-            slot.bytes_written += pass.bytes_written;
-            slot.records_read += pass.records_read;
-            slot.records_written += pass.records_written;
-            slot.rules_evaluated += pass.rules_evaluated;
-        }
-        self.total_io_bytes += stats.total_io_bytes();
-        self.total_rules += stats.total_rules();
-    }
-
-    fn absorb_metrics(&mut self, metrics: &EvalMetrics) {
-        self.metrics
-            .get_or_insert_with(EvalMetrics::default)
-            .merge(metrics);
     }
 }
 
@@ -380,13 +348,9 @@ impl BatchEvaluator {
             for (i, r) in results.iter().enumerate() {
                 match r {
                     Ok(eval) => {
-                        stats.absorb(&eval.stats);
-                        stats.retried += eval.stats.retries;
+                        stats.eval.merge(&eval.stats);
                         if eval.stats.retries > 0 {
                             stats.recovered += 1;
-                        }
-                        if let Some(m) = &eval.metrics {
-                            stats.absorb_metrics(m);
                         }
                     }
                     Err(e) => {
@@ -574,14 +538,7 @@ mod tests {
             io += eval.stats.total_io_bytes();
             rules += eval.stats.total_rules();
         }
-        assert_eq!(outcome.stats.total_io_bytes, io);
-        assert_eq!(outcome.stats.total_rules, rules);
-        let per_pass_rules: u64 = outcome
-            .stats
-            .per_pass
-            .iter()
-            .map(|p| p.rules_evaluated)
-            .sum();
-        assert_eq!(per_pass_rules, rules);
+        assert_eq!(outcome.stats.eval.total_io_bytes(), io);
+        assert_eq!(outcome.stats.eval.total_rules(), rules);
     }
 }

@@ -17,11 +17,15 @@
 //! * [`tree`] — parse trees and both §II strategies for building the
 //!   initial file (bottom-up/shift-reduce and prefix emission).
 //! * [`machine`] — the interpreter, including the static-subsumption
-//!   global-variable protocol with online verification.
+//!   global-variable protocol with online verification. Every
+//!   evaluation returns one [`EvalStats`] record: the boundary-0 totals
+//!   and a [`PassStats`] row per pass (file traffic, rules, attribute
+//!   instances, function calls).
 //! * [`compiled`] — the slot-frame helpers and output encoding that
 //!   generated evaluators link alongside everything above.
 //! * [`batch`] — parallel evaluation of many independent trees on a
-//!   fixed pool of worker threads, with aggregate throughput stats.
+//!   fixed pool of worker threads; their records are summed with
+//!   [`EvalStats::merge`].
 //!
 //! # Example
 //!
@@ -69,7 +73,6 @@ pub mod crc;
 pub mod funcs;
 pub mod machine;
 pub mod manifest;
-pub mod metrics;
 pub mod tree;
 pub mod value;
 
@@ -84,6 +87,5 @@ pub use machine::{
     Evaluation, PassStats, RetryPolicy, Strategy,
 };
 pub use manifest::{Manifest, ManifestError, PassEntry};
-pub use metrics::{EvalMetrics, IoCounters, PassIo, PassProbe};
 pub use tree::{PTree, TreeError};
 pub use value::Value;

@@ -24,6 +24,12 @@
 //! [`EvalStats::globals_repaired`] counts the places where a clobbered
 //! global had to be re-captured (the paper's `POST2_ZQP`-style temporaries
 //! pay for exactly these sites in generated code).
+//!
+//! Every evaluation returns one [`EvalStats`] record: the boundary-0
+//! totals and one [`PassStats`] row per pass, with the file traffic, the
+//! rules, attribute instances and function calls of that pass. The
+//! machine counts with plain integer adds; there is no separate
+//! profiling mode.
 
 use crate::aptfile::{
     boundary_path, file_summary, AptError, AptReader, AptWriter, FaultSpec, FaultTarget,
@@ -32,7 +38,6 @@ use crate::aptfile::{
 use crate::compiled::{collect_alive, fill_slots};
 use crate::funcs::{ExternalFn, FuncError, Funcs};
 use crate::manifest::{Manifest, ManifestError, PassEntry};
-use crate::metrics::{EvalMetrics, PassProbe};
 use crate::tree::{PTree, TreeError};
 use crate::value::Value;
 use linguist_ag::analysis::Analysis;
@@ -93,9 +98,9 @@ pub struct EvalOptions {
     pub budget: Option<usize>,
     /// Disk files (default, as in the paper) or RAM buffers.
     pub backing: Backing,
-    /// Collect the pass-level [`EvalMetrics`] profile (per-pass file
-    /// traffic, attribute and semantic-function work). Off by default:
-    /// the unprofiled hot path pays only an untaken `Option` branch.
+    /// Unused. Every evaluation fills its [`EvalStats`] record, so there
+    /// is nothing to switch on; the field remains only so that callers
+    /// which still set it keep compiling.
     pub profile: bool,
     /// Inject an I/O failure (test support); see [`FaultSpec`].
     pub fault: Option<FaultSpec>,
@@ -108,6 +113,17 @@ pub struct EvalOptions {
     /// exceeding it fails the run with [`EvalError::Deadline`] instead of
     /// letting one pathological job hold a batch worker forever.
     pub deadline: Option<Duration>,
+}
+
+impl Strategy {
+    /// The direction pass `pass` reads its input file in: pass 1 reads
+    /// a prefix-order file forwards; every other file is read backwards.
+    pub fn read_dir(self, pass: u16) -> ReadDir {
+        match (pass, self) {
+            (1, Strategy::Prefix) => ReadDir::Forward,
+            _ => ReadDir::Backward,
+        }
+    }
 }
 
 impl Default for EvalOptions {
@@ -168,9 +184,16 @@ impl RetryPolicy {
     }
 }
 
-/// Per-pass measurements.
-#[derive(Clone, Debug, Default)]
+/// One pass's row of the evaluation record: what pass `pass` did to the
+/// two intermediate files (boundary `pass - 1` in, boundary `pass` out)
+/// and the semantic work it performed. Byte counts are framed record
+/// bytes, without the file header.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PassStats {
+    /// Pass number (1-based, as in the paper).
+    pub pass: u16,
+    /// Direction the input file was read in.
+    pub direction: ReadDir,
     /// Wall-clock time of the pass.
     pub duration: Duration,
     /// Bytes read from the input intermediate file.
@@ -181,14 +204,59 @@ pub struct PassStats {
     pub records_read: u64,
     /// Records written.
     pub records_written: u64,
-    /// Semantic functions evaluated.
+    /// Semantic functions (rules) evaluated.
     pub rules_evaluated: u64,
+    /// Attribute instances defined (rule targets assigned).
+    pub attrs_evaluated: u64,
+    /// External semantic-function calls.
+    pub funcs_invoked: u64,
 }
 
-/// Whole-evaluation measurements.
+impl PassStats {
+    /// The row of pass `pass`, reading in `direction`, with every count
+    /// zero.
+    pub fn new(pass: u16, direction: ReadDir) -> PassStats {
+        PassStats {
+            pass,
+            direction,
+            duration: Duration::ZERO,
+            bytes_read: 0,
+            bytes_written: 0,
+            records_read: 0,
+            records_written: 0,
+            rules_evaluated: 0,
+            attrs_evaluated: 0,
+            funcs_invoked: 0,
+        }
+    }
+
+    fn add(&mut self, other: &PassStats) {
+        self.duration += other.duration;
+        self.bytes_read += other.bytes_read;
+        self.bytes_written += other.bytes_written;
+        self.records_read += other.records_read;
+        self.records_written += other.records_written;
+        self.rules_evaluated += other.rules_evaluated;
+        self.attrs_evaluated += other.attrs_evaluated;
+        self.funcs_invoked += other.funcs_invoked;
+    }
+}
+
+/// The evaluation record: the one account of an evaluation, which the
+/// `--profile` report, batch aggregation and the daemon's `stats` all
+/// read.
+///
+/// The interpreter fills every field. A compiled evaluator fills the
+/// boundary-0 totals and one row per pass whose counts are zero, since
+/// generated code does not count.
 #[derive(Clone, Debug, Default)]
 pub struct EvalStats {
-    /// Per-pass breakdown.
+    /// Records written to the parser-built boundary-0 file (0 when the
+    /// evaluation resumed from a checkpoint and did not rebuild it).
+    pub initial_records: u64,
+    /// Framed bytes written to the boundary-0 file.
+    pub initial_bytes: u64,
+    /// One row per pass that ran, in pass order.
     pub passes: Vec<PassStats>,
     /// Stack-residency meter (peak is what must fit in the 48 KB window).
     pub meter: Meter,
@@ -208,17 +276,51 @@ pub struct EvalStats {
 }
 
 impl EvalStats {
-    /// Total bytes moved through intermediate files.
+    /// Total framed bytes moved through the intermediate files: the
+    /// boundary-0 file's bytes as the parser wrote them, plus every
+    /// pass's bytes read and bytes written.
     pub fn total_io_bytes(&self) -> u64 {
-        self.passes
-            .iter()
-            .map(|p| p.bytes_read + p.bytes_written)
-            .sum()
+        self.initial_bytes
+            + self
+                .passes
+                .iter()
+                .map(|p| p.bytes_read + p.bytes_written)
+                .sum::<u64>()
     }
 
     /// Total semantic functions evaluated.
     pub fn total_rules(&self) -> u64 {
         self.passes.iter().map(|p| p.rules_evaluated).sum()
+    }
+
+    /// Total attribute instances defined.
+    pub fn total_attrs_evaluated(&self) -> u64 {
+        self.passes.iter().map(|p| p.attrs_evaluated).sum()
+    }
+
+    /// Total external semantic-function calls.
+    pub fn total_funcs_invoked(&self) -> u64 {
+        self.passes.iter().map(|p| p.funcs_invoked).sum()
+    }
+
+    /// Add `other`'s counts into this record, as a batch or a daemon
+    /// sums many evaluations: the boundary-0 totals, each pass's row
+    /// into the row with the same pass number, the globals counts and
+    /// the retries. The meter, the depth and the resume point describe
+    /// a single run and are left as they are.
+    pub fn merge(&mut self, other: &EvalStats) {
+        self.initial_records += other.initial_records;
+        self.initial_bytes += other.initial_bytes;
+        for row in &other.passes {
+            match self.passes.iter_mut().find(|r| r.pass == row.pass) {
+                Some(mine) => mine.add(row),
+                None => self.passes.push(*row),
+            }
+        }
+        self.passes.sort_by_key(|r| r.pass);
+        self.globals_checked += other.globals_checked;
+        self.globals_repaired += other.globals_repaired;
+        self.retries += other.retries;
     }
 }
 
@@ -230,9 +332,6 @@ pub struct Evaluation {
     pub outputs: Vec<(AttrId, Value)>,
     /// Measurements.
     pub stats: EvalStats,
-    /// The pass-level profile, present when
-    /// [`EvalOptions::profile`] was set.
-    pub metrics: Option<EvalMetrics>,
 }
 
 impl Evaluation {
@@ -515,7 +614,6 @@ fn evaluate_inner(
     }
     let start_pass = resume_boundary.map_or(1, |b| b + 1);
 
-    let mut metrics = opts.profile.then(EvalMetrics::default);
     let mut machine = Machine {
         analysis,
         funcs,
@@ -529,8 +627,7 @@ fn evaluate_inner(
         check_globals: opts.check_globals,
         pass: 0,
         depth: 0,
-        rules_this_pass: 0,
-        probe: None,
+        row: PassStats::new(0, ReadDir::Backward),
     };
     let check_deadline = || -> Result<(), EvalError> {
         match opts.deadline {
@@ -583,10 +680,8 @@ fn evaluate_inner(
                 }
             }
         };
-        if let Some(m) = &mut metrics {
-            m.initial_bytes = summary.bytes;
-            m.initial_records = summary.records;
-        }
+        machine.stats.initial_records = summary.records;
+        machine.stats.initial_bytes = summary.bytes;
         if let (Some(m), Some(dir)) = (&mut manifest, checkpoint) {
             m.record(PassEntry {
                 pass: 0,
@@ -600,33 +695,23 @@ fn evaluate_inner(
 
     let mut root_state: Option<NodeState> = None;
     for k in start_pass..=num_passes {
-        let read_dir = match (k, opts.strategy) {
-            (1, Strategy::Prefix) => ReadDir::Forward,
-            _ => ReadDir::Backward,
-        };
+        let read_dir = opts.strategy.read_dir(k);
         let mut attempt = 1u32;
         // Each attempt re-runs the whole pass from the (immutable)
         // boundary k-1 file; a clean attempt breaks with the pass result.
-        let (root, pass_stats, summary) = loop {
+        let (root, summary) = loop {
             check_deadline()?;
             let pass_started = Instant::now();
             machine.pass = k;
             machine.depth = 0;
             machine.globals.clear();
-            machine.rules_this_pass = 0;
-            if metrics.is_some() {
-                machine.probe = Some(PassProbe::new());
-            }
+            machine.row = PassStats::new(k, read_dir);
             let mem_before = machine.stats.meter.current();
-            let result = (|| -> Result<(NodeState, u64, u64, FileSummary), EvalError> {
+            let result = (|| -> Result<(NodeState, FileSummary), EvalError> {
                 let mut reader = store.reader(k - 1, read_dir)?;
                 let mut writer = store.writer(k)?;
                 if checkpoint.is_some() {
                     writer.set_sync(true);
-                }
-                if let Some(probe) = &machine.probe {
-                    reader.set_profile(probe.read.clone());
-                    writer.set_profile(probe.written.clone());
                 }
                 if let Some(f) = &opts.fault {
                     if f.pass == k {
@@ -637,25 +722,16 @@ fn evaluate_inner(
                     }
                 }
                 let root = machine.run_pass(&mut reader, &mut writer)?;
-                let bytes_read = reader.bytes_read();
-                let records_read = reader.records_read();
-                let summary = store.finish(k, writer)?;
-                Ok((root, bytes_read, records_read, summary))
+                machine.row.records_read = reader.records_read();
+                machine.row.bytes_read = reader.bytes_read();
+                Ok((root, store.finish(k, writer)?))
             })();
             match result {
-                Ok((root, bytes_read, records_read, summary)) => {
-                    break (
-                        root,
-                        PassStats {
-                            duration: pass_started.elapsed(),
-                            bytes_read,
-                            bytes_written: summary.bytes,
-                            records_read,
-                            records_written: summary.records,
-                            rules_evaluated: machine.rules_this_pass,
-                        },
-                        summary,
-                    );
+                Ok((root, summary)) => {
+                    machine.row.duration = pass_started.elapsed();
+                    machine.row.records_written = summary.records;
+                    machine.row.bytes_written = summary.bytes;
+                    break (root, summary);
                 }
                 Err(e) => {
                     let e = tag_pass(e, k);
@@ -668,22 +744,17 @@ fn evaluate_inner(
                     // (peak stays — that memory really was used).
                     let leaked = machine.stats.meter.current().saturating_sub(mem_before);
                     machine.stats.meter.release(leaked);
-                    machine.probe = None;
                     std::thread::sleep(opts.retry.delay(attempt));
                     attempt += 1;
                 }
             }
         };
-        machine.stats.passes.push(pass_stats);
+        machine.stats.passes.push(machine.row);
         // Pass-boundary heartbeat: keep the scratch dir's lock fresh so
         // a sweeping daemon in another process never reaps a long
         // evaluation's intermediates mid-run.
         if let Store::Disk(dir) = &store {
             dir.refresh_lock();
-        }
-        if let (Some(m), Some(probe)) = (&mut metrics, machine.probe.take()) {
-            m.passes
-                .push(probe.finish(k, read_dir, machine.rules_this_pass));
         }
         if let (Some(m), Some(dir)) = (&mut manifest, checkpoint) {
             m.record(PassEntry {
@@ -713,7 +784,6 @@ fn evaluate_inner(
     Ok(Evaluation {
         outputs,
         stats: machine.stats,
-        metrics,
     })
 }
 
@@ -818,8 +888,8 @@ struct Machine<'a> {
     check_globals: bool,
     pass: u16,
     depth: usize,
-    rules_this_pass: u64,
-    probe: Option<PassProbe>,
+    /// The running pass's row of the record.
+    row: PassStats,
 }
 
 impl<'a> Machine<'a> {
@@ -1055,12 +1125,8 @@ impl<'a> Machine<'a> {
             };
             slots[g.slot(t.attr)] = Some(v);
         }
-        self.rules_this_pass += 1;
-        if let Some(probe) = &self.probe {
-            probe
-                .attrs_evaluated
-                .fetch_add(width as u64, std::sync::atomic::Ordering::Relaxed);
-        }
+        self.row.rules_evaluated += 1;
+        self.row.attrs_evaluated += width as u64;
         Ok(())
     }
 
@@ -1105,11 +1171,7 @@ impl<'a> Machine<'a> {
                 for a in args {
                     vals.push(self.eval_expr(a, state, frame)?);
                 }
-                if let Some(probe) = &self.probe {
-                    probe
-                        .funcs_invoked
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                }
+                self.row.funcs_invoked += 1;
                 let (g, funcs) = (&self.analysis.grammar, self.funcs);
                 let ix = func.index();
                 if ix >= self.callees.len() {
@@ -1314,5 +1376,49 @@ impl Store {
             }
             Store::Disk(_) | Store::Dir(_) => w.finish_summary(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(pass: u16, n: u64) -> PassStats {
+        PassStats {
+            records_read: n,
+            bytes_read: 10 * n,
+            records_written: n,
+            bytes_written: 10 * n,
+            attrs_evaluated: 2 * n,
+            funcs_invoked: n / 2,
+            rules_evaluated: n,
+            ..PassStats::new(pass, ReadDir::Backward)
+        }
+    }
+
+    #[test]
+    fn merge_sums_matching_passes_and_keeps_extras() {
+        let mut a = EvalStats {
+            initial_records: 5,
+            initial_bytes: 50,
+            passes: vec![row(1, 10)],
+            ..EvalStats::default()
+        };
+        let b = EvalStats {
+            initial_records: 3,
+            initial_bytes: 30,
+            passes: vec![row(1, 4), row(2, 7)],
+            retries: 1,
+            ..EvalStats::default()
+        };
+        a.merge(&b);
+        assert_eq!(a.initial_records, 8);
+        assert_eq!(a.passes.len(), 2);
+        assert_eq!(a.passes[0].records_read, 14);
+        assert_eq!(a.passes[1].records_read, 7);
+        assert_eq!(a.retries, 1);
+        // Boundary 0 plus every pass's reads and writes.
+        assert_eq!(a.total_io_bytes(), 80 + 2 * 140 + 2 * 70);
+        assert_eq!(a.total_attrs_evaluated(), 2 * 21);
     }
 }

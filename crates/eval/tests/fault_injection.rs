@@ -102,7 +102,6 @@ fn one_faulted_job_does_not_poison_an_eight_worker_batch() {
     let fault = FaultSpec::new(1, FaultTarget::Write, 3);
     let opts = EvalOptions {
         fault: Some(fault.clone()),
-        profile: true,
         ..EvalOptions::default()
     };
     let batch = BatchEvaluator::with_options(8, opts);
@@ -140,9 +139,9 @@ fn one_faulted_job_does_not_poison_an_eight_worker_batch() {
     }
     assert_eq!(ok, JOBS as usize - 1);
 
-    // The aggregated profile covers only the survivors: every pass-1 row
+    // The summed record covers only the survivors: every pass-1 row
     // read exactly what the survivors' initial files held.
-    let metrics = outcome.stats.metrics.as_ref().expect("profiled batch");
+    let metrics = &outcome.stats.eval;
     assert_eq!(metrics.passes.len(), 1);
     assert_eq!(metrics.passes[0].records_read, metrics.initial_records);
 }

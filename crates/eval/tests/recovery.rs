@@ -494,7 +494,10 @@ fn acceptance_batch_with_panic_and_transient_fault() {
     assert_eq!(outcome.stats.jobs, 8);
     assert_eq!(outcome.stats.failed, 1, "only the panicking job may fail");
     assert_eq!(outcome.stats.panicked, 1);
-    assert_eq!(outcome.stats.retried, 1, "one pass retry across the batch");
+    assert_eq!(
+        outcome.stats.eval.retries, 1,
+        "one pass retry across the batch"
+    );
     assert_eq!(outcome.stats.recovered, 1, "one job recovered via retry");
     assert_eq!(outcome.stats.failures[0].kind, FailureKind::Panicked);
     let ok = outcome.results.iter().filter(|r| r.is_ok()).count();

@@ -25,9 +25,9 @@
 //! increase the pass count or records written —
 //! and reports any disagreement as a [`Divergence`] naming the mode,
 //! the first offending attribute, and the pass that computes it. It also
-//! checks the [`EvalMetrics`] conservation laws (pass N+1 reads exactly
-//! what pass N wrote) and the subsumption-transparency invariant
-//! (`globals_repaired == 0`) on the sequential baseline.
+//! checks the conservation laws of the [`EvalStats`] record (pass N+1
+//! reads exactly what pass N wrote) and the subsumption-transparency
+//! invariant (`globals_repaired == 0`) on the sequential baseline.
 //!
 //! Failing cases can be shrunk with [`minimize`] (budget halving, then
 //! whole-production removal at the source level) under a [`reproduces`]
@@ -48,7 +48,7 @@ use linguist_eval::batch::BatchEvaluator;
 use linguist_eval::compiled::encode_outputs;
 use linguist_eval::funcs::Funcs;
 use linguist_eval::machine::{
-    evaluate, evaluate_resumable, Backing, EvalOptions, Evaluation, Strategy,
+    evaluate, evaluate_resumable, Backing, EvalOptions, EvalStats, Evaluation, Strategy,
 };
 use linguist_eval::manifest::Manifest;
 use linguist_eval::tree::PTree;
@@ -87,7 +87,7 @@ pub struct CaseResult {
     pub analysis: Analysis,
     /// The deterministically synthesized input tree.
     pub tree: PTree,
-    /// The sequential baseline evaluation (with metrics).
+    /// The sequential baseline evaluation.
     pub baseline: Evaluation,
     /// Everything that disagreed; empty means the oracle is satisfied.
     pub divergences: Vec<Divergence>,
@@ -119,12 +119,10 @@ pub fn strategy_for(analysis: &Analysis) -> Strategy {
     }
 }
 
-/// Evaluation options every mode runs under: matching strategy, profile
-/// on (for the conservation checks).
+/// Evaluation options every mode runs under: the matching strategy.
 pub fn eval_opts(analysis: &Analysis) -> EvalOptions {
     EvalOptions {
         strategy: strategy_for(analysis),
-        profile: true,
         ..EvalOptions::default()
     }
 }
@@ -269,7 +267,7 @@ pub fn run_case_with(
             ),
         ));
     }
-    divergences.extend(metrics_violations(&baseline));
+    divergences.extend(metrics_violations(&baseline.stats));
 
     // Mode 2: parallel batch, 8 workers × 8 copies of the same tree, on
     // the shared-nothing owned-store path the production batch uses —
@@ -356,41 +354,33 @@ fn optimized_divergences(
     if let Some(d) = compare(&analysis, "optimized", baseline, &eval) {
         out.push(d);
     }
-    out.extend(metrics_violations(&eval).into_iter().map(|mut d| {
+    out.extend(metrics_violations(&eval.stats).into_iter().map(|mut d| {
         d.mode = "optimized-metrics".into();
         d
     }));
-    if let (Some(bm), Some(om)) = (&baseline.metrics, &eval.metrics) {
-        let base_written: u64 = bm.passes.iter().map(|p| p.records_written).sum();
-        let opt_written: u64 = om.passes.iter().map(|p| p.records_written).sum();
-        if om.passes.len() > bm.passes.len() || opt_written > base_written {
-            out.push(failure(
-                "optimized",
-                format!(
-                    "optimizer increased work: {} -> {} passes, {} -> {} records written",
-                    bm.passes.len(),
-                    om.passes.len(),
-                    base_written,
-                    opt_written
-                ),
-            ));
-        }
+    let (bm, om) = (&baseline.stats, &eval.stats);
+    let base_written: u64 = bm.passes.iter().map(|p| p.records_written).sum();
+    let opt_written: u64 = om.passes.iter().map(|p| p.records_written).sum();
+    if om.passes.len() > bm.passes.len() || opt_written > base_written {
+        out.push(failure(
+            "optimized",
+            format!(
+                "optimizer increased work: {} -> {} passes, {} -> {} records written",
+                bm.passes.len(),
+                om.passes.len(),
+                base_written,
+                opt_written
+            ),
+        ));
     }
     out
 }
 
-/// The metrics conservation laws on a profiled evaluation: pass 1 reads
-/// the initial file exactly; every later pass reads exactly what its
+/// The conservation laws on an evaluation record: pass 1 reads the
+/// initial file exactly; every later pass reads exactly what its
 /// predecessor wrote.
-fn metrics_violations(eval: &Evaluation) -> Vec<Divergence> {
+fn metrics_violations(m: &EvalStats) -> Vec<Divergence> {
     let mut out = Vec::new();
-    let Some(m) = &eval.metrics else {
-        out.push(failure(
-            "metrics",
-            "profiling was on but no metrics were collected".into(),
-        ));
-        return out;
-    };
     if let Some(first) = m.passes.first() {
         if first.records_read != m.initial_records || first.bytes_read != m.initial_bytes {
             out.push(Divergence {

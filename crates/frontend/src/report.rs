@@ -9,8 +9,9 @@
 //!
 //! * the static half comes from [`GrammarProfile`] (overlay-4 products);
 //! * the dynamic half comes from actually *running* the generated
-//!   evaluator, profiled, over a synthetic parse tree grown from the
-//!   grammar itself ([`synthesize_tree`]) — no input program is needed.
+//!   evaluator over a synthetic parse tree grown from the grammar itself
+//!   ([`synthesize_tree`]) — no input program is needed — and reading
+//!   the evaluation's [`EvalStats`] record.
 //!
 //! Rendered either as aligned text tables or as JSON (assembled with
 //! the shared [`linguist_support::json`] module; the toolchain has no
@@ -25,9 +26,9 @@ use linguist_engine::{Engine, EngineConfig, EngineKind};
 use linguist_eval::aptfile::ReadDir;
 use linguist_eval::funcs::Funcs;
 use linguist_eval::machine::{
-    evaluate, evaluate_resumable, Backing, EvalOptions, Evaluation, RetryPolicy, Strategy,
+    evaluate, evaluate_resumable, Backing, EvalOptions, EvalStats, Evaluation, RetryPolicy,
+    Strategy,
 };
-use linguist_eval::metrics::EvalMetrics;
 use linguist_eval::tree::PTree;
 use linguist_eval::value::Value;
 use linguist_support::json::{escape as json_str, number as json_f64};
@@ -59,11 +60,11 @@ pub struct RecoveryOpts {
     /// checkpoint is durable by definition).
     pub backing: Backing,
     /// Which execution engine runs the profiled evaluation (the CLI's
-    /// `--engine` flag). Compiled engines produce the same outputs but
-    /// no pass-level I/O profile (that instrumentation lives in the
-    /// interpreter), and they ignore retry/checkpoint/resume — so a
-    /// compiled profile reports outputs, engine, and any degradation,
-    /// while the per-pass table stays interpreter-only.
+    /// `--engine` flag). A compiled engine produces the same outputs,
+    /// but its evaluation record has no counts (generated code does not
+    /// count), and it ignores retry/checkpoint/resume — so a compiled
+    /// profile reports outputs, engine, and any degradation, and the
+    /// per-pass table comes from interpreted runs only.
     pub engine: EngineKind,
 }
 
@@ -77,9 +78,9 @@ pub struct ProfileReport {
     /// Nodes in the synthetic tree the dynamic half evaluated (0 when no
     /// tree could be synthesized).
     pub tree_nodes: usize,
-    /// The dynamic half: per-pass I/O and work counters, when the
-    /// profiled evaluation ran to completion.
-    pub eval: Option<EvalMetrics>,
+    /// The dynamic half: the evaluation record, when the interpreter
+    /// ran the evaluation to completion.
+    pub eval: Option<EvalStats>,
     /// Why the dynamic half is missing, when it is (a semantic function
     /// rejecting the synthetic attribute values, say). The static half
     /// is still valid.
@@ -136,8 +137,8 @@ impl ProfileReport {
 
     /// Collect the full report: profile the grammar statically, then
     /// synthesize a parse tree of roughly `budget` nodes and run the
-    /// evaluator over it with profiling on (disk-backed, as in the
-    /// paper, so the I/O columns reflect real file traffic).
+    /// evaluator over it (disk-backed, as in the paper, so the I/O
+    /// columns reflect real file traffic).
     ///
     /// A grammar whose semantic functions reject the synthetic intrinsic
     /// values still yields a report — the failure is recorded in
@@ -177,34 +178,37 @@ impl ProfileReport {
         let opts = EvalOptions {
             strategy,
             backing: recovery.backing,
-            profile: true,
             retry: recovery.retry,
             ..EvalOptions::default()
         };
-        let result = if recovery.engine != EngineKind::Interpreted {
+        let (engine_used, result) = if recovery.engine != EngineKind::Interpreted {
             // The compiled engine: prepare (AOT lookup) and run through
-            // the degradation ladder. Checkpoint/resume and the
-            // pass-level profile are interpreter-only instrumentation.
+            // the degradation ladder. Checkpoint/resume are
+            // interpreter-only.
             let engine = aot_engine();
             let prepared = engine.prepare(analysis);
             let outcome = engine.evaluate(&prepared, analysis, funcs, &tree, &opts);
-            report.engine_used = Some(outcome.engine_used.as_str().to_string());
             report.engine_fallback = outcome.fallback.map(|r| r.to_string());
-            outcome.result
+            (outcome.engine_used, outcome.result)
         } else {
-            report.engine_used = Some(EngineKind::Interpreted.as_str().to_string());
-            match (&recovery.checkpoint_dir, recovery.resume) {
+            let result = match (&recovery.checkpoint_dir, recovery.resume) {
                 (Some(dir), true) => Evaluation::resume(analysis, funcs, &opts, dir)
                     .or_else(|_| evaluate_resumable(analysis, funcs, &tree, &opts, dir)),
                 (Some(dir), false) => evaluate_resumable(analysis, funcs, &tree, &opts, dir),
                 (None, _) => evaluate(analysis, funcs, &tree, &opts),
-            }
+            };
+            (EngineKind::Interpreted, result)
         };
+        report.engine_used = Some(engine_used.as_str().to_string());
         match result {
             Ok(eval) => {
                 report.retries = eval.stats.retries;
                 report.resumed_from = eval.stats.resumed_from;
-                report.eval = eval.metrics;
+                // Generated code does not count: only an interpreted
+                // run's record has a pass table to report.
+                if engine_used == EngineKind::Interpreted {
+                    report.eval = Some(eval.stats);
+                }
             }
             Err(e) => report.eval_error = Some(e.to_string()),
         }
@@ -421,10 +425,10 @@ fn aot_engine() -> &'static Engine {
     })
 }
 
-/// Render an [`EvalMetrics`] profile as a JSON object — shared between
+/// Render an [`EvalStats`] record as a JSON object — shared between
 /// the `--profile=json` report and the benchmark snapshot writer, so
 /// `BENCH_*.json` files carry the same per-pass I/O shape.
-pub fn metrics_json(m: &EvalMetrics) -> String {
+pub fn metrics_json(m: &EvalStats) -> String {
     let mut out = String::new();
     out.push('{');
     let _ = write!(
@@ -452,8 +456,8 @@ pub fn metrics_json(m: &EvalMetrics) -> String {
                 ReadDir::Forward => "forward",
                 ReadDir::Backward => "backward",
             },
-            p.input_boundary,
-            p.output_boundary,
+            p.pass - 1,
+            p.pass,
             p.records_read,
             p.bytes_read,
             p.records_written,

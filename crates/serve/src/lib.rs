@@ -19,8 +19,8 @@
 //! * [`hist`] — a log-linear latency histogram (quantiles within
 //!   6.25%, without dependencies or unbounded memory).
 //! * [`stats`] — the `Stats` endpoint's aggregation: request
-//!   counters, the latency histogram, and every profiled evaluation's
-//!   [`EvalMetrics`](linguist_eval::metrics::EvalMetrics) merged into
+//!   counters, the latency histogram, and every interpreted evaluation's
+//!   [`EvalStats`](linguist_eval::machine::EvalStats) record merged into
 //!   one running pass-level traffic table.
 //! * [`net`] — the connection layer: one Unix-or-TCP stream type, one
 //!   accept loop (a thread per connection), one session loop over the

@@ -593,7 +593,6 @@ fn run_job(
     };
     let opts = EvalOptions {
         strategy,
-        profile: true,
         deadline: remaining,
         // Daemon jobs are transient and run concurrently on the pool:
         // use the shared-nothing owned RAM store, not temp files.
@@ -652,7 +651,12 @@ fn run_job(
     match result {
         Ok(eval) => {
             let wall = waited + started.elapsed();
-            state.metrics.record_translate(wall, eval.metrics.as_ref());
+            // Generated code does not count, so only interpreted runs
+            // add to the daemon's record.
+            let counted = engine_used == EngineKind::Interpreted;
+            state
+                .metrics
+                .record_translate(wall, counted.then_some(&eval.stats));
             let outputs: Vec<(String, Json)> = eval
                 .outputs
                 .iter()

@@ -5,15 +5,16 @@
 //! * **request counters** — loads, translates, error replies, plus a
 //!   [`LatencyHistogram`](crate::hist::LatencyHistogram) of translate
 //!   wall time (p50/p99 as conservative upper bounds);
-//! * **evaluation profile** — every profiled evaluation's
-//!   [`EvalMetrics`] is [`merge`](EvalMetrics::merge)d into one
-//!   aggregate, so the daemon exposes the same pass-level traffic table
-//!   the batch CLI prints, accumulated across all requests since start;
+//! * **evaluation record** — every interpreted evaluation's
+//!   [`EvalStats`] is [`merge`](EvalStats::merge)d into one aggregate,
+//!   so the daemon exposes the same pass-level traffic table the
+//!   `--profile` report prints, accumulated across all requests since
+//!   start;
 //! * **cache and queue** — the session cache's hit/miss/eviction
 //!   counters with a per-grammar table, and the pool's live queue
 //!   depth and admission-control counters.
 
-use linguist_eval::metrics::EvalMetrics;
+use linguist_eval::machine::EvalStats;
 use linguist_support::json::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -24,7 +25,7 @@ use crate::pool::WorkerPool;
 use crate::store::GrammarStore;
 
 /// Lifetime request counters plus the latency histogram and the merged
-/// evaluation profile.
+/// evaluation record.
 #[derive(Debug)]
 pub struct ServiceMetrics {
     started: Instant,
@@ -37,7 +38,7 @@ pub struct ServiceMetrics {
     /// Jobs that hit their deadline (subset of `errors`).
     pub deadline_misses: AtomicU64,
     latency: LatencyHistogram,
-    eval: Mutex<EvalMetrics>,
+    eval: Mutex<EvalStats>,
 }
 
 impl ServiceMetrics {
@@ -50,17 +51,17 @@ impl ServiceMetrics {
             errors: AtomicU64::new(0),
             deadline_misses: AtomicU64::new(0),
             latency: LatencyHistogram::new(),
-            eval: Mutex::new(EvalMetrics::default()),
+            eval: Mutex::new(EvalStats::default()),
         }
     }
 
     /// Record one finished translate job: its wall time and, when the
-    /// evaluation was profiled, its pass-level traffic.
-    pub fn record_translate(&self, wall: Duration, metrics: Option<&EvalMetrics>) {
+    /// interpreter ran it, its evaluation record.
+    pub fn record_translate(&self, wall: Duration, stats: Option<&EvalStats>) {
         self.translates.fetch_add(1, Ordering::Relaxed);
         self.latency.record(wall);
-        if let Some(m) = metrics {
-            self.eval.lock().expect("metrics poisoned").merge(m);
+        if let Some(s) = stats {
+            self.eval.lock().expect("metrics poisoned").merge(s);
         }
     }
 
@@ -72,8 +73,8 @@ impl ServiceMetrics {
         }
     }
 
-    /// The merged pass-level profile so far.
-    pub fn eval_metrics(&self) -> EvalMetrics {
+    /// The merged evaluation record so far.
+    pub fn eval_stats(&self) -> EvalStats {
         self.eval.lock().expect("metrics poisoned").clone()
     }
 
@@ -87,7 +88,7 @@ impl ServiceMetrics {
         };
         let s = store.stats();
         let p = pool.stats();
-        let eval = self.eval_metrics();
+        let eval = self.eval_stats();
         let grammars: Vec<Json> = store
             .entries()
             .iter()
@@ -244,17 +245,13 @@ impl Default for ServiceMetrics {
 mod tests {
     use super::*;
     use linguist_eval::aptfile::ReadDir;
-    use linguist_eval::metrics::PassIo;
+    use linguist_eval::machine::PassStats;
 
-    fn one_pass_metrics(n: u64) -> EvalMetrics {
-        EvalMetrics {
+    fn one_pass_metrics(n: u64) -> EvalStats {
+        EvalStats {
             initial_records: n,
             initial_bytes: 10 * n,
-            passes: vec![PassIo {
-                pass: 1,
-                direction: ReadDir::Backward,
-                input_boundary: 0,
-                output_boundary: 1,
+            passes: vec![PassStats {
                 records_read: n,
                 bytes_read: 10 * n,
                 records_written: n,
@@ -262,7 +259,9 @@ mod tests {
                 attrs_evaluated: 2 * n,
                 funcs_invoked: n,
                 rules_evaluated: n,
+                ..PassStats::new(1, ReadDir::Backward)
             }],
+            ..EvalStats::default()
         }
     }
 
@@ -272,7 +271,7 @@ mod tests {
         m.record_translate(Duration::from_millis(2), Some(&one_pass_metrics(5)));
         m.record_translate(Duration::from_millis(4), Some(&one_pass_metrics(3)));
         m.record_translate(Duration::from_millis(1), None);
-        let agg = m.eval_metrics();
+        let agg = m.eval_stats();
         assert_eq!(agg.initial_records, 8);
         assert_eq!(agg.passes.len(), 1);
         assert_eq!(agg.passes[0].records_read, 8);

@@ -52,13 +52,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("jobs/sec:    {:.1}", stats.jobs_per_sec());
         println!(
             "rules fired: {} across {} pass(es)",
-            stats.total_rules,
-            stats.per_pass.len()
+            stats.eval.total_rules(),
+            stats.eval.passes.len()
         );
         println!(
-            "APT traffic: {} bytes ({} read+written per job on average)\n",
-            stats.total_io_bytes,
-            stats.total_io_bytes / stats.jobs as u64
+            "APT traffic: {} bytes ({} per job on average)\n",
+            stats.eval.total_io_bytes(),
+            stats.eval.total_io_bytes() / stats.jobs as u64
         );
     }
 

@@ -350,6 +350,7 @@ assert r["ok"], r
 assert r["outputs"]["V"] == "42", r["outputs"]
 assert r["engine"] == "aot", r.get("engine")
 assert "engine_fallback" not in r, r
+assert r["passes"] == 1, r
 '
 target/release/linguist client --socket "$AOTSOCK" stats \
   | python3 -c '

@@ -108,10 +108,10 @@ fn stress(tr: &Translator, trees: &[PTree], opts: &EvalOptions) {
     }
 
     // Accounting: batch totals are exactly the per-job sums.
-    assert_eq!(outcome.stats.total_io_bytes, io_sum);
-    assert_eq!(outcome.stats.total_rules, rules_sum);
-    assert_eq!(outcome.stats.per_pass.len(), pass_rules.len());
-    for (slot, expected) in outcome.stats.per_pass.iter().zip(&pass_rules) {
+    assert_eq!(outcome.stats.eval.total_io_bytes(), io_sum);
+    assert_eq!(outcome.stats.eval.total_rules(), rules_sum);
+    assert_eq!(outcome.stats.eval.passes.len(), pass_rules.len());
+    for (slot, expected) in outcome.stats.eval.passes.iter().zip(&pass_rules) {
         assert_eq!(slot.rules_evaluated, *expected);
     }
     assert!(outcome.stats.wall.as_nanos() > 0);

@@ -10,7 +10,7 @@
 //! — and all four must produce byte-identical APT output. On top of the
 //! output oracle, the `linguist check` report must agree between the
 //! local lint driver and the daemon's `check` reply, and the sequential
-//! baseline must satisfy the `EvalMetrics` conservation laws (checked
+//! baseline must satisfy the `EvalStats` conservation laws (checked
 //! inside [`run_case`]).
 //!
 //! Any divergence is minimized (budget halving + whole-production
@@ -393,8 +393,7 @@ proptest! {
             encoded_outputs(&baseline),
             "{}: optimized outputs not byte-identical", sg.name
         );
-        let bm = baseline.metrics.as_ref().expect("baseline profiled");
-        let om = opted.metrics.as_ref().expect("optimized profiled");
+        let (bm, om) = (&baseline.stats, &opted.stats);
         prop_assert!(
             om.passes.len() <= bm.passes.len(),
             "{}: optimizer raised pass count {} -> {}",

@@ -37,7 +37,6 @@ fn globals_counts(source: &str, scanner: Scanner, input: &str, backing: Backing)
     // The options `run_job` in the serve tier uses, apart from the store.
     let opts = EvalOptions {
         strategy: strategy_for(&translator.analysis),
-        profile: true,
         backing,
         ..EvalOptions::default()
     };

@@ -281,13 +281,12 @@ proptest! {
                 let opts = EvalOptions {
                     strategy: *strat,
                     backing,
-                    profile: true,
                     ..EvalOptions::default()
                 };
                 let eval = t
                     .translate(&program, &Funcs::standard(), &opts)
                     .unwrap();
-                let m = eval.metrics.as_ref().expect("profiling was on");
+                let m = &eval.stats;
                 prop_assert!(!m.passes.is_empty());
                 prop_assert_eq!(m.passes[0].records_read, m.initial_records);
                 prop_assert_eq!(m.passes[0].bytes_read, m.initial_bytes);
