@@ -254,17 +254,7 @@ impl Record {
 
     /// Append the serialized payload to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        match self.body {
-            RecordBody::Sym(s) => {
-                out.push(0u8);
-                out.extend_from_slice(&s.0.to_le_bytes());
-            }
-            RecordBody::Prod(p) => {
-                out.push(1u8);
-                out.extend_from_slice(&p.0.to_le_bytes());
-            }
-        }
-        out.extend_from_slice(&(self.values.len() as u16).to_le_bytes());
+        encode_head(out, self.body, self.values.len());
         for (a, v) in &self.values {
             out.extend_from_slice(&a.0.to_le_bytes());
             v.encode(out);
@@ -324,10 +314,38 @@ impl Record {
             .find(|(attr, _)| *attr == a)
             .map(|(_, v)| v)
     }
+}
 
-    /// Approximate on-disk size (payload plus frame lengths and CRC).
-    pub fn byte_size(&self) -> usize {
-        self.encode().len() + FRAME_OVERHEAD as usize
+/// Append a payload's head: the body tag and id, then the value count.
+fn encode_head(out: &mut Vec<u8>, body: RecordBody, values: usize) {
+    let (tag, id) = match body {
+        RecordBody::Sym(s) => (0u8, s.0),
+        RecordBody::Prod(p) => (1u8, p.0),
+    };
+    out.push(tag);
+    out.extend_from_slice(&id.to_le_bytes());
+    out.extend_from_slice(&(values as u16).to_le_bytes());
+}
+
+/// Append the payload of a record whose values are the present slots of
+/// `layout` (`(attr, slot)` pairs sorted by attribute id): the bytes
+/// [`Record::encode_into`] gives for the record `collect_alive` builds,
+/// without building it.
+///
+/// [`collect_alive`]: crate::compiled::collect_alive
+fn encode_slots(
+    out: &mut Vec<u8>,
+    body: RecordBody,
+    slots: &[Option<Value>],
+    layout: &[(u32, usize)],
+) {
+    let present = layout.iter().filter(|&&(_, s)| slots[s].is_some()).count();
+    encode_head(out, body, present);
+    for &(a, s) in layout {
+        if let Some(v) = &slots[s] {
+            out.extend_from_slice(&a.to_le_bytes());
+            v.encode(out);
+        }
     }
 }
 
@@ -463,8 +481,10 @@ pub struct FileSummary {
     pub records: u64,
     /// Framed body bytes (excluding the header).
     pub bytes: u64,
-    /// CRC-32 over every framed body byte, in order.
-    pub crc: u32,
+    /// CRC-32 over every framed body byte, in order. Only a durable
+    /// writer ([`AptWriter::set_sync`]), whose summary a checkpoint
+    /// manifest records, computes it; every other writer leaves `None`.
+    pub crc: Option<u32>,
 }
 
 /// Sequential writer of an intermediate APT file (disk- or RAM-backed).
@@ -482,8 +502,9 @@ pub struct AptWriter {
     path: Option<PathBuf>,
     bytes: u64,
     records: u64,
-    crc: u32,
-    sync: bool,
+    /// Running CRC-32 of the framed body, kept by durable writers only:
+    /// `Some` exactly when [`finish`](Self::finish) must fsync.
+    crc: Option<u32>,
     fault: Option<FaultSpec>,
 }
 
@@ -513,8 +534,7 @@ impl AptWriter {
                 path: Some(path.to_path_buf()),
                 bytes: 0,
                 records: 0,
-                crc: 0,
-                sync: false,
+                crc: None,
                 fault: None,
             })
         };
@@ -536,8 +556,7 @@ impl AptWriter {
             path: None,
             bytes: 0,
             records: 0,
-            crc: 0,
-            sync: false,
+            crc: None,
             fault: None,
         }
     }
@@ -549,11 +568,14 @@ impl AptWriter {
         self.fault = Some(spec);
     }
 
-    /// Make [`finish`](Self::finish) fsync the file before returning —
-    /// required before a checkpoint manifest may claim the boundary is
-    /// durable. No effect on memory-backed writers.
+    /// Make the writer durable: [`finish`](Self::finish) fsyncs the
+    /// file before returning, and the writer keeps the whole-body CRC
+    /// its [`FileSummary`] reports — both required before a checkpoint
+    /// manifest may claim the boundary. Set it before the first record.
+    /// The fsync has no effect on memory-backed writers.
     pub fn set_sync(&mut self, sync: bool) {
-        self.sync = sync;
+        assert_eq!(self.records, 0, "set_sync after a record was written");
+        self.crc = sync.then_some(0);
     }
 
     /// Append one record.
@@ -563,16 +585,38 @@ impl AptWriter {
     /// Propagates filesystem errors (memory writers only fail through an
     /// injected [`FaultSpec`]); disk errors carry the file path.
     pub fn write(&mut self, rec: &Record) -> Result<(), AptError> {
-        match self.write_inner(rec) {
-            Ok(()) => Ok(()),
-            Err(e) => Err(match &self.path {
-                Some(p) => e.in_file(p),
-                None => e,
-            }),
-        }
+        let r = self.emit(|out| rec.encode_into(out));
+        self.with_path(r)
     }
 
-    fn write_inner(&mut self, rec: &Record) -> Result<(), AptError> {
+    /// Append one record whose values are the present slots of a frame
+    /// in a boundary layout (`(attr, slot)` pairs sorted by attribute
+    /// id): the same bytes as [`write`](Self::write) of the record
+    /// [`collect_alive`](crate::compiled::collect_alive) builds, encoded
+    /// straight from the frame with no value cloned.
+    ///
+    /// # Errors
+    ///
+    /// As [`write`](Self::write).
+    pub fn write_slots(
+        &mut self,
+        body: RecordBody,
+        slots: &[Option<Value>],
+        layout: &[(u32, usize)],
+    ) -> Result<(), AptError> {
+        let r = self.emit(|out| encode_slots(out, body, slots, layout));
+        self.with_path(r)
+    }
+
+    fn with_path<T>(&self, r: Result<T, AptError>) -> Result<T, AptError> {
+        r.map_err(|e| match &self.path {
+            Some(p) => e.in_file(p),
+            None => e,
+        })
+    }
+
+    /// Frame the payload `encode` appends and emit it.
+    fn emit(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<(), AptError> {
         if let Some(fault) = &self.fault {
             fault.fire(self.records)?;
         }
@@ -587,14 +631,16 @@ impl AptWriter {
         };
         let start = buf.len();
         buf.extend_from_slice(&[0; 4]);
-        rec.encode_into(buf);
+        encode(buf);
         let len = ((buf.len() - start - 4) as u32).to_le_bytes();
         buf[start..start + 4].copy_from_slice(&len);
         let rec_crc = crc::crc32(&buf[start + 4..]);
         buf.extend_from_slice(&rec_crc.to_le_bytes());
         buf.extend_from_slice(&len);
         // Running whole-body CRC, framed bytes in file order.
-        self.crc = crc::update(self.crc, &buf[start..]);
+        if let Some(body_crc) = &mut self.crc {
+            *body_crc = crc::update(*body_crc, &buf[start..]);
+        }
         let framed = (buf.len() - start) as u64;
         if let Sink::File(f) = &mut self.sink {
             f.write_all(&self.frame)?;
@@ -615,8 +661,9 @@ impl AptWriter {
     }
 
     /// Like [`finish`](Self::finish), but returns the full
-    /// [`FileSummary`] including the whole-body CRC — what a checkpoint
-    /// manifest records for the completed boundary.
+    /// [`FileSummary`], with the whole-body CRC when the writer is
+    /// durable — what a checkpoint manifest records for the completed
+    /// boundary.
     ///
     /// # Errors
     ///
@@ -630,7 +677,7 @@ impl AptWriter {
             crc: self.crc,
         };
         let path = self.path;
-        let sync = self.sync;
+        let sync = self.crc.is_some();
         let inner = || -> Result<(), AptError> {
             match self.sink {
                 Sink::File(f) => {
@@ -709,6 +756,8 @@ pub struct AptReader {
     dir: ReadDir,
     bytes: u64,
     records: u64,
+    /// Framed size of the record [`next`](AptReader::next) last returned.
+    last: u64,
     total_records: u64,
     total_bytes: u64,
     fault: Option<FaultSpec>,
@@ -902,6 +951,7 @@ impl AptReader {
             dir,
             bytes: 0,
             records: 0,
+            last: 0,
             total_records,
             total_bytes,
             fault: None,
@@ -988,6 +1038,7 @@ impl AptReader {
         self.bytes += framed;
         self.records += 1;
         let rec = Record::decode(payload)?;
+        self.last = framed;
         self.pos = match dir {
             ReadDir::Forward => start + framed,
             ReadDir::Backward => start,
@@ -1004,6 +1055,13 @@ impl AptReader {
             Some(_) => self.src.window.capacity(),
             None => 0,
         }
+    }
+
+    /// Framed size (payload plus lengths and CRC) of the record the
+    /// last successful [`next`](Self::next) returned: what the record
+    /// occupies in the file, known from its frame without re-encoding.
+    pub fn last_frame_bytes(&self) -> u64 {
+        self.last
     }
 
     /// Bytes consumed so far.
@@ -1053,7 +1111,7 @@ pub fn file_summary(path: &Path) -> Result<FileSummary, AptError> {
         Ok(FileSummary {
             records,
             bytes,
-            crc,
+            crc: Some(crc),
         })
     };
     inner().map_err(|e| e.in_file(path))
@@ -1541,6 +1599,57 @@ mod tests {
         std::fs::write(&path, &data).unwrap();
         let corrupt = file_summary(&path).unwrap();
         assert_ne!(corrupt.crc, written.crc);
+    }
+
+    #[test]
+    fn only_durable_writers_keep_the_body_crc() {
+        let mut w = AptWriter::create_owned();
+        w.write(&rec(1)).unwrap();
+        assert_eq!(w.finish_owned().unwrap().0.crc, None);
+        let mut w = AptWriter::create_owned();
+        w.set_sync(true);
+        w.write(&rec(1)).unwrap();
+        let (summary, buf) = w.finish_owned().unwrap();
+        assert_eq!(
+            summary.crc,
+            Some(crc::crc32(&buf[HEADER_LEN as usize..])),
+            "the body CRC covers every framed byte after the header"
+        );
+    }
+
+    #[test]
+    fn write_slots_matches_write_of_the_collected_record() {
+        // Slots 0..3 of a frame; the layout lists attrs 4, 6 and 9 at
+        // slots 2, 0 and 1, and slot 1 is empty.
+        let slots = vec![
+            Some(Value::str("six")),
+            None,
+            Some(Value::Int(4)),
+            Some(Value::Bool(true)),
+        ];
+        let layout = [(4, 2), (6, 0), (9, 1)];
+        for body in [RecordBody::Sym(SymbolId(3)), RecordBody::Prod(ProdId(8))] {
+            let mut by_record = AptWriter::create_owned();
+            let values = crate::compiled::collect_alive(&slots, &layout);
+            by_record.write(&Record { body, values }).unwrap();
+            let mut by_slots = AptWriter::create_owned();
+            by_slots.write_slots(body, &slots, &layout).unwrap();
+            assert_eq!(
+                by_record.finish_owned().unwrap().1,
+                by_slots.finish_owned().unwrap().1,
+                "{:?}",
+                body
+            );
+        }
+        // An empty layout is a record with no values.
+        let mut w = AptWriter::create_owned();
+        w.write_slots(RecordBody::Prod(ProdId(2)), &[], &[])
+            .unwrap();
+        let (_, buf) = w.finish_owned().unwrap();
+        let mut r = AptReader::open_shared(Arc::new(buf), ReadDir::Forward).unwrap();
+        let got = r.next().unwrap().unwrap();
+        assert_eq!(got.values, vec![]);
+        assert_eq!(r.last_frame_bytes(), FRAME_OVERHEAD + 7);
     }
 
     #[test]

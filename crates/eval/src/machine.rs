@@ -11,9 +11,11 @@
 //! A stacked node is a frame, one slot per attribute of its symbol: the
 //! frame model of [`crate::compiled`], which generated evaluators share.
 //! Records load into frames through `fill_slots` and leave them in their
-//! boundary's layout through `collect_alive`; a rule's result goes
-//! straight into its target's slot; each callee is looked up in the
-//! [`Funcs`] once per evaluation, not once per call.
+//! boundary's layout through [`AptWriter::write_slots`], which encodes
+//! straight from the frame; the meter is charged each record's framed
+//! size as the reader found it. A rule's result goes straight into its
+//! target's slot; each callee is looked up in the [`Funcs`] once per
+//! evaluation, not once per call.
 //!
 //! The machine also *executes the static-subsumption protocol* alongside
 //! reference evaluation: it maintains the global variables, performs the
@@ -35,7 +37,7 @@ use crate::aptfile::{
     boundary_path, file_summary, AptError, AptReader, AptWriter, FaultSpec, FaultTarget,
     FileSummary, ReadDir, Record, RecordBody, TempAptDir,
 };
-use crate::compiled::{collect_alive, fill_slots};
+use crate::compiled::fill_slots;
 use crate::funcs::{ExternalFn, FuncError, Funcs};
 use crate::manifest::{Manifest, ManifestError, PassEntry};
 use crate::tree::{PTree, TreeError};
@@ -502,6 +504,23 @@ pub fn evaluate_resumable(
     )
 }
 
+/// The manifest's claim for boundary `pass`, from a durable writer's
+/// summary.
+fn manifest_entry(pass: u16, s: &FileSummary) -> Result<PassEntry, EvalError> {
+    let crc = s.crc.ok_or_else(|| {
+        EvalError::Corrupt(format!(
+            "boundary {} was written without its body checksum",
+            pass
+        ))
+    })?;
+    Ok(PassEntry {
+        pass,
+        records: s.records,
+        bytes: s.bytes,
+        crc,
+    })
+}
+
 fn strategy_name(s: Strategy) -> &'static str {
     match s {
         Strategy::BottomUp => "BottomUp",
@@ -571,7 +590,7 @@ fn evaluate_inner(
                     let recorded = FileSummary {
                         records: e.records,
                         bytes: e.bytes,
-                        crc: e.crc,
+                        crc: Some(e.crc),
                     };
                     if file_summary(&boundary_path(dir, e.pass)).is_ok_and(|s| s == recorded) {
                         resume_boundary = Some(e.pass);
@@ -683,12 +702,7 @@ fn evaluate_inner(
         machine.stats.initial_records = summary.records;
         machine.stats.initial_bytes = summary.bytes;
         if let (Some(m), Some(dir)) = (&mut manifest, checkpoint) {
-            m.record(PassEntry {
-                pass: 0,
-                records: summary.records,
-                bytes: summary.bytes,
-                crc: summary.crc,
-            });
+            m.record(manifest_entry(0, &summary)?);
             m.save(dir)?;
         }
     }
@@ -757,12 +771,7 @@ fn evaluate_inner(
             dir.refresh_lock();
         }
         if let (Some(m), Some(dir)) = (&mut manifest, checkpoint) {
-            m.record(PassEntry {
-                pass: k,
-                records: summary.records,
-                bytes: summary.bytes,
-                crc: summary.crc,
-            });
+            m.record(manifest_entry(k, &summary)?);
             m.save(dir)?;
         }
         root_state = Some(root);
@@ -846,8 +855,9 @@ impl NodeState {
     }
 
     /// Load a symbol record into a fresh frame, as generated code does.
-    fn from_record(g: &Grammar, rec: Record) -> Result<NodeState, EvalError> {
-        let charged = rec.byte_size();
+    /// `charged` is the record's framed size in the file.
+    fn from_record(g: &Grammar, rec: Record, charged: u64) -> Result<NodeState, EvalError> {
+        let charged = charged as usize;
         match rec.body {
             RecordBody::Sym(sym) if (sym.0 as usize) < g.symbols().len() => {
                 let mut state = NodeState::empty(g, sym);
@@ -865,6 +875,22 @@ impl NodeState {
             ))),
         }
     }
+}
+
+/// Put a rule's result `v` into the slot of its target `t`, creating the
+/// child's frame when the rule defines an inherited attribute of a child
+/// whose record is not read yet.
+fn store(g: &Grammar, t: AttrOcc, v: Value, state: &mut NodeState, frame: &mut Frame) {
+    let slots = match t.pos {
+        OccPos::Lhs => &mut state.values,
+        OccPos::Rhs(i) => {
+            &mut frame.children[i as usize]
+                .get_or_insert_with(|| NodeState::empty(g, g.attr(t.attr).symbol))
+                .values
+        }
+        OccPos::Limb => &mut frame.limb,
+    };
+    slots[g.slot(t.attr)] = Some(v);
 }
 
 /// What one production-procedure activation holds besides its own node:
@@ -902,7 +928,7 @@ impl<'a> Machine<'a> {
         let rec = reader
             .next()?
             .ok_or_else(|| EvalError::Corrupt("empty APT file".to_owned()))?;
-        let mut root = NodeState::from_record(g, rec)?;
+        let mut root = NodeState::from_record(g, rec, reader.last_frame_bytes())?;
         if root.sym != g.start() {
             return Err(EvalError::Corrupt(format!(
                 "root record is {}, expected start symbol {}",
@@ -912,19 +938,16 @@ impl<'a> Machine<'a> {
         }
         self.stats.meter.charge(root.charged);
         self.visit(&mut root, reader, writer)?;
-        writer.write(&self.record(&root))?;
+        self.write_node(&root, writer)?;
         self.stats.meter.release(root.charged);
         Ok(root)
     }
 
-    /// `state`'s record at the end of this pass: its layout at boundary
-    /// `pass`.
-    fn record(&self, state: &NodeState) -> Record {
+    /// Write `state`'s record at the end of this pass: its layout at
+    /// boundary `pass`.
+    fn write_node(&self, state: &NodeState, writer: &mut AptWriter) -> Result<(), AptError> {
         let layout = self.analysis.lifetimes.layout(state.sym, self.pass);
-        Record {
-            body: RecordBody::Sym(state.sym),
-            values: collect_alive(&state.values, layout),
-        }
+        writer.write_slots(RecordBody::Sym(state.sym), &state.values, layout)
     }
 
     fn visit(
@@ -945,7 +968,7 @@ impl<'a> Machine<'a> {
         let prod_rec = reader
             .next()?
             .ok_or_else(|| EvalError::Corrupt("APT file ended inside a visit".to_owned()))?;
-        let prod_charged = prod_rec.byte_size();
+        let prod_charged = reader.last_frame_bytes() as usize;
         let prod = match prod_rec.body {
             RecordBody::Prod(p) => p,
             RecordBody::Sym(s) => {
@@ -988,7 +1011,7 @@ impl<'a> Machine<'a> {
                         let rec = reader.next()?.ok_or_else(|| {
                             EvalError::Corrupt("APT file ended before child record".to_owned())
                         })?;
-                        let child = NodeState::from_record(g, rec)?;
+                        let child = NodeState::from_record(g, rec, reader.last_frame_bytes())?;
                         if child.sym != want {
                             return Err(EvalError::Corrupt(format!(
                                 "child {} of production {}: expected {}, found {}",
@@ -1036,7 +1059,7 @@ impl<'a> Machine<'a> {
                     // Symmetric with Get: the next pass will not look
                     // for this record, so don't write it.
                     if !lt.elides(g, child.sym, self.pass) {
-                        writer.write(&self.record(child))?;
+                        self.write_node(child, writer)?;
                     }
                 }
             }
@@ -1048,14 +1071,11 @@ impl<'a> Machine<'a> {
         if self.check_globals {
             self.end_globals(prod, state);
         }
-        let values = match p.limb {
-            Some(l) => collect_alive(&frame.limb, lt.layout(l, self.pass)),
-            None => Vec::new(),
+        let layout = match p.limb {
+            Some(l) => lt.layout(l, self.pass),
+            None => &[],
         };
-        writer.write(&Record {
-            body: RecordBody::Prod(prod),
-            values,
-        })?;
+        writer.write_slots(RecordBody::Prod(prod), &frame.limb, layout)?;
 
         self.stats.meter.release(charged_children + prod_charged);
         self.depth -= 1;
@@ -1096,34 +1116,35 @@ impl<'a> Machine<'a> {
         let g = &self.analysis.grammar;
         let r = g.rule(rule);
         let width = r.targets.len();
-        let vals: Vec<Value> = match &r.expr {
-            Expr::If {
-                branches,
-                otherwise,
-            } if width > 1 => {
-                let arm = self.select_arm(branches, otherwise, state, frame)?;
-                let mut out = Vec::with_capacity(width);
-                for e in arm {
-                    out.push(self.eval_expr(e, state, frame)?);
-                }
-                out
-            }
-            expr => {
+        match (&r.expr, r.targets.as_slice()) {
+            (expr, &[t]) => {
                 let v = self.eval_expr(expr, state, frame)?;
-                vec![v; width]
+                store(g, t, v, state, frame);
             }
-        };
-        for (t, v) in r.targets.iter().zip(vals) {
-            let slots = match t.pos {
-                OccPos::Lhs => &mut state.values,
-                OccPos::Rhs(i) => {
-                    &mut frame.children[i as usize]
-                        .get_or_insert_with(|| NodeState::empty(g, g.attr(t.attr).symbol))
-                        .values
+            (
+                Expr::If {
+                    branches,
+                    otherwise,
+                },
+                targets,
+            ) if width > 1 => {
+                // Every arm expression reads the frame as it was before
+                // the rule, so all are evaluated before any is stored.
+                let arm = self.select_arm(branches, otherwise, state, frame)?;
+                let mut vals = Vec::with_capacity(width);
+                for e in arm {
+                    vals.push(self.eval_expr(e, state, frame)?);
                 }
-                OccPos::Limb => &mut frame.limb,
-            };
-            slots[g.slot(t.attr)] = Some(v);
+                for (&t, v) in targets.iter().zip(vals) {
+                    store(g, t, v, state, frame);
+                }
+            }
+            (expr, targets) => {
+                let v = self.eval_expr(expr, state, frame)?;
+                for &t in targets {
+                    store(g, t, v.clone(), state, frame);
+                }
+            }
         }
         self.row.rules_evaluated += 1;
         self.row.attrs_evaluated += width as u64;

@@ -20,6 +20,13 @@ use std::path::Path;
 const WINDOW: u64 = 64 * 1024;
 /// Header length of the v2 format.
 const HEADER_LEN: u64 = 28;
+/// Frame bytes around a payload: lead length, CRC, trail length.
+const FRAME_OVERHEAD: u64 = 12;
+
+/// Bytes `r` occupies in a file.
+fn framed(r: &Record) -> u64 {
+    r.encode().len() as u64 + FRAME_OVERHEAD
+}
 
 /// Record `i`, carrying a string of `pad` bytes.
 fn rec(i: u32, pad: usize) -> Record {
@@ -43,12 +50,16 @@ fn write(path: &Path, recs: &[Record]) -> Vec<(u64, u64)> {
     let mut at = HEADER_LEN;
     for r in recs {
         w.write(r).unwrap();
-        let end = at + r.byte_size() as u64;
+        let end = at + framed(r);
         frames.push((at, end));
         at = end;
     }
     let (bytes, _) = w.finish().unwrap();
-    assert_eq!(HEADER_LEN + bytes, at, "byte_size must be the framed size");
+    assert_eq!(
+        HEADER_LEN + bytes,
+        at,
+        "a frame is its payload plus 12 bytes"
+    );
     frames
 }
 
@@ -66,7 +77,7 @@ fn reader_memory_stays_within_window_plus_largest_frame() {
             rec(i, pad)
         })
         .collect();
-    let largest = recs.iter().map(Record::byte_size).max().unwrap();
+    let largest = recs.iter().map(framed).max().unwrap() as usize;
     let tmp = TempAptDir::new().unwrap();
     let path = tmp.boundary(0);
     write(&path, &recs);
@@ -88,6 +99,13 @@ fn reader_memory_stays_within_window_plus_largest_frame() {
                 ReadDir::Backward => recs.len() - 1 - served,
             };
             assert_eq!(got, recs[i], "{:?} record {} differs", dir, i);
+            assert_eq!(
+                r.last_frame_bytes(),
+                framed(&recs[i]),
+                "{:?} record {}",
+                dir,
+                i
+            );
             served += 1;
             peak = peak.max(r.buffer_capacity());
             assert!(

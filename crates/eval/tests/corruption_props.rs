@@ -310,6 +310,7 @@ fn header_len_matches_format() {
     };
     write_file(&path, std::slice::from_ref(&rec));
     let len = std::fs::metadata(&path).unwrap().len() as usize;
-    assert_eq!(len, HEADER_LEN + rec.byte_size());
+    // Lead length, CRC and trail length frame the payload.
+    assert_eq!(len, HEADER_LEN + 12 + rec.encode().len());
     std::fs::remove_file(&path).ok();
 }

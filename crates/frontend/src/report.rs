@@ -26,9 +26,10 @@ use linguist_engine::{Engine, EngineConfig, EngineKind};
 use linguist_eval::aptfile::ReadDir;
 use linguist_eval::funcs::Funcs;
 use linguist_eval::machine::{
-    evaluate, evaluate_resumable, Backing, EvalOptions, EvalStats, Evaluation, RetryPolicy,
-    Strategy,
+    evaluate, evaluate_resumable, Backing, EvalError, EvalOptions, EvalStats, Evaluation,
+    RetryPolicy, Strategy,
 };
+use linguist_eval::manifest::Manifest;
 use linguist_eval::tree::PTree;
 use linguist_eval::value::Value;
 use linguist_support::json::{escape as json_str, number as json_f64};
@@ -150,6 +151,13 @@ impl ProfileReport {
     /// [`collect`](ProfileReport::collect) with recovery options: a retry
     /// policy for transient failures, optional pass-boundary
     /// checkpointing, and resuming from an earlier checkpoint directory.
+    ///
+    /// A synthetic tree can carry values a semantic function rejects (a
+    /// long binary numeral overflows `Pow2`, say). While evaluation fails
+    /// with such an error, the tree budget is halved and the evaluation
+    /// rerun, down to the cheapest derivation;
+    /// [`tree_nodes`](ProfileReport::tree_nodes) is the size of the tree
+    /// the reported evaluation ran on.
     pub fn collect_with(
         name: &str,
         analysis: &Analysis,
@@ -158,46 +166,29 @@ impl ProfileReport {
         recovery: &RecoveryOpts,
     ) -> ProfileReport {
         let mut report = ProfileReport::without_eval(name, analysis);
-        let tree = match synthesize_tree(&analysis.grammar, budget) {
-            Some(t) => t,
-            None => {
-                report.eval_error =
-                    Some("no finite derivation exists for the start symbol".to_string());
-                return report;
-            }
-        };
-        report.tree_nodes = tree.size();
-        // The initial-file strategy must match the planned first
-        // direction: a right-to-left first pass reads the bottom-up
-        // (shift-reduce order) file backwards; a left-to-right first
-        // pass reads the prefix-order file forwards.
-        let strategy = match analysis.passes.direction(1) {
-            Direction::RightToLeft => Strategy::BottomUp,
-            Direction::LeftToRight => Strategy::Prefix,
-        };
-        let opts = EvalOptions {
-            strategy,
-            backing: recovery.backing,
-            retry: recovery.retry,
-            ..EvalOptions::default()
-        };
-        let (engine_used, result) = if recovery.engine != EngineKind::Interpreted {
-            // The compiled engine: prepare (AOT lookup) and run through
-            // the degradation ladder. Checkpoint/resume are
-            // interpreter-only.
-            let engine = aot_engine();
-            let prepared = engine.prepare(analysis);
-            let outcome = engine.evaluate(&prepared, analysis, funcs, &tree, &opts);
-            report.engine_fallback = outcome.fallback.map(|r| r.to_string());
-            (outcome.engine_used, outcome.result)
-        } else {
-            let result = match (&recovery.checkpoint_dir, recovery.resume) {
-                (Some(dir), true) => Evaluation::resume(analysis, funcs, &opts, dir)
-                    .or_else(|_| evaluate_resumable(analysis, funcs, &tree, &opts, dir)),
-                (Some(dir), false) => evaluate_resumable(analysis, funcs, &tree, &opts, dir),
-                (None, _) => evaluate(analysis, funcs, &tree, &opts),
+        let mut budget = budget;
+        let (engine_used, result) = loop {
+            let tree = match synthesize_tree(&analysis.grammar, budget) {
+                Some(t) => t,
+                None => {
+                    report.eval_error =
+                        Some("no finite derivation exists for the start symbol".to_string());
+                    return report;
+                }
             };
-            (EngineKind::Interpreted, result)
+            report.tree_nodes = tree.size();
+            let (engine_used, result) = report.run(analysis, funcs, &tree, recovery);
+            match result {
+                Err(EvalError::Func(_)) if budget > 1 => {
+                    budget /= 2;
+                    // The abandoned tree's checkpoint must not seed the
+                    // smaller tree's run.
+                    if let Some(dir) = &recovery.checkpoint_dir {
+                        let _ = std::fs::remove_file(Manifest::path_in(dir));
+                    }
+                }
+                result => break (engine_used, result),
+            }
         };
         report.engine_used = Some(engine_used.as_str().to_string());
         match result {
@@ -213,6 +204,48 @@ impl ProfileReport {
             Err(e) => report.eval_error = Some(e.to_string()),
         }
         report
+    }
+
+    /// Evaluate `tree` once under `recovery`'s engine and options,
+    /// recording any engine fallback.
+    fn run(
+        &mut self,
+        analysis: &Analysis,
+        funcs: &Funcs,
+        tree: &PTree,
+        recovery: &RecoveryOpts,
+    ) -> (EngineKind, Result<Evaluation, EvalError>) {
+        // The initial-file strategy must match the planned first
+        // direction: a right-to-left first pass reads the bottom-up
+        // (shift-reduce order) file backwards; a left-to-right first
+        // pass reads the prefix-order file forwards.
+        let strategy = match analysis.passes.direction(1) {
+            Direction::RightToLeft => Strategy::BottomUp,
+            Direction::LeftToRight => Strategy::Prefix,
+        };
+        let opts = EvalOptions {
+            strategy,
+            backing: recovery.backing,
+            retry: recovery.retry,
+            ..EvalOptions::default()
+        };
+        if recovery.engine != EngineKind::Interpreted {
+            // The compiled engine: prepare (AOT lookup) and run through
+            // the degradation ladder. Checkpoint/resume are
+            // interpreter-only.
+            let engine = aot_engine();
+            let prepared = engine.prepare(analysis);
+            let outcome = engine.evaluate(&prepared, analysis, funcs, tree, &opts);
+            self.engine_fallback = outcome.fallback.map(|r| r.to_string());
+            return (outcome.engine_used, outcome.result);
+        }
+        let result = match (&recovery.checkpoint_dir, recovery.resume) {
+            (Some(dir), true) => Evaluation::resume(analysis, funcs, &opts, dir)
+                .or_else(|_| evaluate_resumable(analysis, funcs, tree, &opts, dir)),
+            (Some(dir), false) => evaluate_resumable(analysis, funcs, tree, &opts, dir),
+            (None, _) => evaluate(analysis, funcs, tree, &opts),
+        };
+        (EngineKind::Interpreted, result)
     }
 
     /// The aligned-text rendering: the §IV statistics block followed by

@@ -13,7 +13,8 @@
 #   5. clippy, warnings denied
 #   6. --profile=json smoke test: the CLI's JSON output must parse
 #   7. crash-resume smoke test: a checkpointed run can be resumed and
-#      reports the boundary it restarted after
+#      reports the boundary it restarted after; after one body byte of
+#      boundary 1 is flipped, the resume restarts after boundary 0
 #   8. checkpoint-overhead bench snapshot lands in target/
 #   9. serve smoke test: daemon on a temp Unix socket answers a load,
 #      a check (against the compiled cache, no re-analysis), a
@@ -94,7 +95,24 @@ import json, sys
 r = json.load(sys.stdin)["recovery"]
 assert r["resumed_from"] is not None, "resume did not use the checkpoint"
 '
-echo "checkpoint + resume round-trips"
+# Flip one body byte of boundary 1. Only a durable (checkpoint) writer
+# computes the whole-body CRC its manifest entry records; that CRC must
+# reject the file, so the resume walks back to boundary 0.
+python3 -c '
+import sys
+path = sys.argv[1] + "/boundary_1.apt"
+data = bytearray(open(path, "rb").read())
+data[28 + (len(data) - 28) // 2] ^= 0x01
+open(path, "wb").write(bytes(data))
+' "$CKPT"
+target/release/linguist crates/grammars/lg/block.lg --profile=json \
+  --checkpoint-dir "$CKPT" --resume \
+  | python3 -c '
+import json, sys
+r = json.load(sys.stdin)["recovery"]
+assert r["resumed_from"] == 0, ("a corrupt boundary 1 must resume from 0", r)
+'
+echo "checkpoint + resume round-trips; a corrupt boundary walks back"
 
 echo "== checkpoint-overhead bench snapshot =="
 cargo bench -q -p linguist-bench --bench table_checkpoint_overhead > /dev/null
